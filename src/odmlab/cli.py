@@ -393,7 +393,10 @@ def cmd_mc_consistency(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    report = run_mc_consistency(config)
+    try:
+        report = run_mc_consistency(config)
+    except ValueError as exc:  # e.g. a malformed ODMLAB_THREADS
+        raise CliError(str(exc)) from exc
     out_dir = args.out_dir
     _write_text(os.path.join(out_dir, "consistency.json"), _json_dumps(report.to_dict()))
     _write_text(

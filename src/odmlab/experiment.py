@@ -31,10 +31,16 @@ from .simulate import SimConfig, simulate_series
 
 
 def worker_count(jobs: int) -> int:
+    """Worker processes for ``jobs`` replicates: the core count, capped by
+    ``ODMLAB_THREADS`` when set; ValueError unless that is an integer."""
     cap = os.environ.get("ODMLAB_THREADS")
     workers = os.cpu_count() or 1
     if cap:
-        workers = min(workers, max(int(cap), 1))
+        try:
+            limit = int(cap)
+        except ValueError:
+            raise ValueError(f"ODMLAB_THREADS must be an integer, got {cap!r}") from None
+        workers = min(workers, max(limit, 1))
     return max(min(workers, jobs), 1)
 
 

@@ -6,6 +6,12 @@ polish using the exact gradient.  It is implemented here rather than
 delegated so that box projection and tie-breaking are explicit and every
 seeded run is bit-reproducible.  Coordinates whose box is a single point are
 pinned and excluded from the search.
+
+The search evaluates the likelihood's vectorized kernel, which agrees with
+the sequential pass to rounding.  Each start's final point is then
+re-evaluated once by the exact sequential pass; those values rank the
+starts, so the reported log-likelihood equals :func:`loglik` at the
+estimate bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from .families import PredictiveDistribution, predictive
 from .likelihood import (
     GradientUndefinedError,
     LikelihoodValue,
-    _grad_prepared,
+    _design,
+    _kernel,
     _loglik_prepared,
     _prepare,
     loglik,
@@ -166,6 +173,13 @@ class StartTrace:
 
 @dataclass(frozen=True)
 class FitResult:
+    """The estimate, its log-likelihood and the per-start trace.
+
+    ``loglik`` is computed in streaming mode and holds no per-term values or
+    latent path; call :func:`loglik` with ``keep_path=True`` at ``theta_hat``
+    for those.
+    """
+
     theta_hat: ParameterVector
     loglik: LikelihoodValue
     starts: int
@@ -380,18 +394,19 @@ def fit_mle(
     active = upper > lower
     base = box.center()
     prep = _prepare(spec, z_init, series)
+    des = _design(spec, prep)
 
     def expand(v_active: np.ndarray) -> np.ndarray:
         full = base.copy()
         full[active] = v_active
         return full
 
+    def clip(full: np.ndarray) -> np.ndarray:
+        return np.minimum(np.maximum(full, lower), upper)
+
     def objective_full(full: np.ndarray) -> float:
-        theta = unpack_params(spec, box.clip(full))
-        val = _loglik_prepared(spec, theta, prep, False, False)
-        if not math.isfinite(val.normalized):
-            return math.inf
-        return -val.normalized
+        total = _kernel(des, clip(full))[0]
+        return -total / des.n if math.isfinite(total) else math.inf
 
     # Start list: center, data-informed, quasi-random, then user extras.  The
     # quasi-random block is a Halton set under a seeded rotation (the start
@@ -421,44 +436,35 @@ def fit_mle(
     traces = []
     for idx, start in enumerate(starts_full):
         start = box.clip(start)
+        final_full, evals, converged, polish_status = start, 1, True, "off"
         if active.any():
-            x0 = start[active]
             lo_a, hi_a = lower[active], upper[active]
-            xb, fb, evals, nm_conv = _nelder_mead(
+            xb, fb, evals, converged = _nelder_mead(
                 lambda v: objective_full(expand(v)),
-                x0,
+                start[active],
                 lo_a,
                 hi_a,
                 opts.tol_value,
                 opts.tol_simplex,
                 opts.max_evals,
             )
-            polish_status = "off"
             if opts.polish and math.isfinite(fb):
-                def value_fn(v):
-                    return -objective_full(expand(v))
-
-                def grad_fn(v):
-                    theta = unpack_params(spec, box.clip(expand(v)))
-                    g = _grad_prepared(spec, theta, prep)
-                    return g[active]
-
-                xb, fpol, polish_status = _projected_gradient(
-                    value_fn, grad_fn, xb, lo_a, hi_a, opts.polish_max_iter
+                xb, _, polish_status = _projected_gradient(
+                    lambda v: -objective_full(expand(v)),
+                    lambda v: _kernel(des, clip(expand(v)), grad=True)[1][active],
+                    xb,
+                    lo_a,
+                    hi_a,
+                    opts.polish_max_iter,
                 )
-                fb = -fpol
             final_full = box.clip(expand(xb))
-            converged = nm_conv
-        else:
-            fb = objective_full(start)
-            final_full = start
-            evals = 1
-            converged = True
-            polish_status = "off"
-        value = -fb if math.isfinite(fb) else -math.inf
+        theta = unpack_params(spec, final_full)
+        value = _loglik_prepared(spec, theta, prep, False, False).normalized
+        if not math.isfinite(value):
+            value = -math.inf
         excluded = False
         if opts.require_stability and math.isfinite(value):
-            excluded = check_model(spec, unpack_params(spec, final_full)).verdict != "Pass"
+            excluded = check_model(spec, theta).verdict != "Pass"
         traces.append(
             StartTrace(
                 start_index=idx,
@@ -480,7 +486,7 @@ def fit_mle(
         )
     best = max(candidates, key=lambda t: (t.value, -t.start_index))
     theta_hat = unpack_params(spec, best.final)
-    final_val = loglik(spec, theta_hat, z_init, series, keep_path=True)
+    final_val = loglik(spec, theta_hat, z_init, series, keep_path=False)
     report = check_model(spec, theta_hat)
     return FitResult(
         theta_hat=theta_hat,

@@ -1,28 +1,31 @@
 """Exact conditional log-likelihood and its gradient.
 
-One forward pass over the observations maintains the latent window and sums
-the per-term count log-densities; the first observation only conditions the
-recursion and contributes no term.  The gradient runs the same pass while
-propagating the latent's derivative with respect to every parameter (the
-initial window is treated as parameter-free), then chains the density
-derivatives through the latent path.  Both cost O(n * (p + q)) like the
-likelihood itself.
-
-The module keeps a private prepared form of (series, initial window) so the
-optimizer can evaluate many parameter points without re-reducing the data;
-the public functions prepare on the fly.
+With omega, the observation lags, the PARX feature term and (for k <= p) the
+initial window collected in d_k, the latents x_1..x_n solve the banded unit
+lower-triangular system x_k - sum_i a_i x_{k-i} = d_k; the first observation
+only conditions the recursion.  :func:`loglik` runs the recursion and sums
+the per-term log-densities sequentially, which alone matches a brute-force
+recomputation to 1e-12 absolute on explosive log-linear totals (up to 1e96).
+A private vectorized kernel solves the system with LAPACK ``dtbtrs`` and
+gets the gradient from one transposed solve for the adjoint weights; the
+optimizer and :func:`grad_loglik` use it, and its value agrees with
+:func:`loglik` to rounding.  Both cost O(n * (p + q)).  Private prepared
+forms of (series, initial window) let the optimizer evaluate many points
+without re-reducing the data.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import digamma
+from scipy.linalg.lapack import dtbtrs
+from scipy.special import digamma, gammaln
 
-from .families import CLAMP_HI, CLAMP_LO, _clamped, covariate_log_density, lnfact
+from .families import CLAMP_HI, CLAMP_LO, ClampWarning, covariate_log_density, lnfact
 from .model import (
     LOGLIN,
     NBIN,
@@ -33,7 +36,6 @@ from .model import (
     ParameterVector,
     check_series,
     pack_params,
-    reduce,
     unpack_params,
     validate_params,
     validate_window,
@@ -51,7 +53,9 @@ class LikelihoodValue:
     ``per_term`` holds the n per-observation terms and ``latent_path`` the
     n + 1 latent values x_0..x_n (intensity component for PARX); both are
     dropped in streaming mode.  ``bad_term`` names the first k whose term is
-    -inf or non-finite, in which case ``total`` is -inf.
+    -inf or non-finite, in which case ``total`` is -inf.  ``clamped`` counts
+    the log-linear terms whose latent was clamped to [CLAMP_LO, CLAMP_HI]
+    before exponentiation; a pass that clamps warns once.
     """
 
     normalized: float
@@ -60,6 +64,7 @@ class LikelihoodValue:
     per_term: Optional[tuple[float, ...]] = None
     latent_path: Optional[tuple[float, ...]] = None
     bad_term: Optional[int] = None
+    clamped: int = 0
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ class _Prepared:
 
     n: int
     y: tuple[int, ...]
-    u: Optional[tuple[float, ...]]  # scalar families: reduced observations
+    u: tuple[float, ...]  # reduced observations; PARX: the counts
     feats: Optional[tuple[tuple[float, ...], ...]]  # PARX feature rows
     lnf: tuple[float, ...]  # ln(y_k!) for k = 1..n
     xw0: tuple[float, ...]
@@ -88,16 +93,59 @@ def _prepare(spec: ModelSpec, z_init: LatentWindow, series: ObservationSeries) -
         if v not in cache:
             cache[v] = lnfact(v)
     lnf = tuple(cache[v] for v in y[1:])
-    if spec.family == PARX:
-        feats = tuple(spec.parx.feature_values(row) for row in series.covariates)
-        xw0 = tuple(e[0] for e in z_init.x)
-        uw0 = tuple(e[0] for e in z_init.u)
-        return _Prepared(n, y, None, feats, lnf, xw0, uw0, series.covariates)
     if spec.family == LOGLIN:
         u = tuple(math.log1p(v) for v in y)
     else:
         u = tuple(float(v) for v in y)
+    if spec.family == PARX:
+        feats = tuple(spec.parx.feature_values(row) for row in series.covariates)
+        xw0 = tuple(e[0] for e in z_init.x)
+        uw0 = tuple(e[0] for e in z_init.u)
+        return _Prepared(n, y, u, feats, lnf, xw0, uw0, series.covariates)
     return _Prepared(n, y, u, None, lnf, tuple(z_init.x), tuple(z_init.u), None)
+
+
+@dataclass(frozen=True)
+class _Design:
+    """The vectorized kernel's arrays for one prepared series."""
+
+    n: int
+    p: int
+    family: str
+    # (n, dim): row k - 1 is d_k's coefficient on each packed parameter:
+    # 1 | x_{k-i} from the initial window, else 0 | u_{k-j} | 0 (NBIN r) | f_{k-1}
+    matrix: np.ndarray
+    y: np.ndarray  # y_1..y_n
+    lnf_sum: float
+    counts: Optional[tuple[np.ndarray, np.ndarray]]  # NBIN: distinct y_k, multiplicities
+
+
+def _design(spec: ModelSpec, prep: _Prepared) -> _Design:
+    n, p, q = prep.n, spec.p, spec.q
+    matrix = np.zeros((n, 1 + p + q + (spec.family == NBIN)))
+    matrix[:, 0] = 1.0
+    for k in range(1, min(p, n) + 1):
+        for i in range(k, p + 1):
+            matrix[k - 1, i] = prep.xw0[k - i - 1]
+    ext = np.array(prep.uw0 + prep.u[:n])  # u_{1-q}..u_{n-1}
+    for j in range(1, q + 1):
+        matrix[:, p + j] = ext[q - j : q - j + n]
+    if prep.feats is not None:
+        matrix = np.hstack((matrix, prep.feats[:n]))
+    y = np.array(prep.y[1:], dtype=float)
+    counts = None
+    if spec.family == NBIN:
+        vals, mult = np.unique(y, return_counts=True)
+        counts = (vals, mult.astype(float))
+    return _Design(n, p, spec.family, matrix, y, math.fsum(prep.lnf), counts)
+
+
+def _clamp(x: float, k: int, clamped: list) -> float:
+    # an out-of-range latent is clamped and its term recorded; NaN passes through
+    if math.isnan(x):
+        return x
+    clamped.append(k)
+    return CLAMP_LO if x < CLAMP_LO else CLAMP_HI
 
 
 def _loglik_prepared(
@@ -111,12 +159,12 @@ def _loglik_prepared(
     omega, a, b = theta.omega, theta.a, theta.b
     p, q = spec.p, spec.q
     pq1 = p == 1 and q == 1
-    y = prep.y
-    lnf = prep.lnf
+    y, u, lnf = prep.y, prep.u, prep.lnf
     per = [] if keep_path else None
     path = [prep.xw0[-1]] if keep_path else None
     total = 0.0
     bad = None
+    clamped: list[int] = []
     exp = math.exp
     log = math.log
     log1p = math.log1p
@@ -135,12 +183,12 @@ def _loglik_prepared(
             if pq1:
                 acc = omega
                 acc += a1 * x
-                acc += b1 * float(y[k - 1])
+                acc += b1 * u[k - 1]
                 for m in range(len(gamma)):
                     acc += gamma[m] * f_now[m]
                 x = acc
             else:
-                yw.append(float(y[k - 1]))
+                yw.append(u[k - 1])
                 acc = omega
                 i = 1
                 for ai in a:
@@ -177,7 +225,6 @@ def _loglik_prepared(
                 break
             total += term
     elif spec.family == LOGLIN:
-        u = prep.u
         if pq1:
             a1, b1 = a[0], b[0]
             x = prep.xw0[-1]
@@ -189,7 +236,7 @@ def _loglik_prepared(
                 if keep_path:
                     path.append(x)
                 yk = y[k]
-                xc = x if CLAMP_LO <= x <= CLAMP_HI else _clamped(x)
+                xc = x if CLAMP_LO <= x <= CLAMP_HI else _clamp(x, k, clamped)
                 term = -exp(xc) + yk * xc - lnf[k - 1]
                 if keep_path:
                     per.append(term)
@@ -219,7 +266,7 @@ def _loglik_prepared(
                 if keep_path:
                     path.append(x)
                 yk = y[k]
-                xc = x if CLAMP_LO <= x <= CLAMP_HI else _clamped(x)
+                xc = x if CLAMP_LO <= x <= CLAMP_HI else _clamp(x, k, clamped)
                 term = -exp(xc) + yk * xc - lnf[k - 1]
                 if keep_path:
                     per.append(term)
@@ -229,14 +276,11 @@ def _loglik_prepared(
                     break
                 total += term
     else:  # NBIN
-        u = prep.u
         r = theta.r
         lgamma_r = math.lgamma(r)
         # Per distinct count: lgamma(r + y) - ln y! - lgamma(r), associated
         # exactly as in families.log_density.
-        head: dict[int, float] = {}
-        for v in set(y[1:]):
-            head[v] = math.lgamma(r + v) - lnfact(v) - lgamma_r
+        head = {v: math.lgamma(r + v) - lnfact(v) - lgamma_r for v in set(y[1:])}
         xw = list(prep.xw0)
         uw = list(prep.uw0)
         x = xw[-1]
@@ -281,6 +325,13 @@ def _loglik_prepared(
                 break
             total += term
 
+    if clamped:
+        warnings.warn(
+            f"{len(clamped)} of {n} latent values clamped to [{CLAMP_LO:.0f}, {CLAMP_HI:.0f}] "
+            f"before exponentiation, the first at term {clamped[0]}",
+            ClampWarning,
+            stacklevel=3,
+        )
     return LikelihoodValue(
         normalized=total / n,
         total=total,
@@ -288,6 +339,7 @@ def _loglik_prepared(
         per_term=None if per is None else tuple(per),
         latent_path=None if path is None else tuple(path),
         bad_term=bad,
+        clamped=len(clamped),
     )
 
 
@@ -312,122 +364,58 @@ def loglik(
     return _loglik_prepared(spec, theta, prep, keep_path, include_covariate_density)
 
 
-def _grad_prepared(spec: ModelSpec, theta: ParameterVector, prep: _Prepared) -> np.ndarray:
-    n = prep.n
-    omega, a, b = theta.omega, theta.a, theta.b
-    p, q = spec.p, spec.q
-    y = prep.y
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing sum reads as -inf, like the loop
+def _kernel(des: _Design, vec: np.ndarray, grad: bool = False):
+    """Vectorized (total, gradient) at the packed point ``vec``.
 
-    if spec.family == PARX:
-        gamma = theta.gamma
-        feats = prep.feats
-        d = len(gamma)
-        dim = 1 + p + q + d
-        xw = list(prep.xw0)
-        yw = list(prep.uw0)
-        sbuf = [[0.0] * dim for _ in range(p)]
-        grad = [0.0] * dim
-        for k in range(1, n + 1):
-            yw.append(float(y[k - 1]))
-            acc = omega
-            i = 1
-            for ai in a:
-                acc += ai * xw[-i]
-                i += 1
-            j = 1
-            for bj in b:
-                acc += bj * yw[-j]
-                j += 1
-            f_now = feats[k - 1]
-            for m in range(d):
-                acc += gamma[m] * f_now[m]
-            x = acc
-            s_new = [0.0] * dim
-            s_new[0] = 1.0
-            for m in range(1, p + 1):
-                s_new[m] = xw[-m]
-            for m in range(1, q + 1):
-                s_new[p + m] = yw[-m]
-            for m in range(d):
-                s_new[1 + p + q + m] = f_now[m]
-            for i in range(1, p + 1):
-                ai = a[i - 1]
-                if ai != 0.0:
-                    si = sbuf[-i]
-                    for c in range(dim):
-                        s_new[c] += ai * si[c]
-            if not (x > 0.0 and math.isfinite(x)):
-                raise GradientUndefinedError(
-                    f"latent {x!r} at term {k} makes the gradient undefined"
-                )
-            gl = y[k] / x - 1.0
-            for c in range(dim):
-                grad[c] += gl * s_new[c]
-            sbuf.append(s_new)
-            del sbuf[0]
-            xw.append(x)
-            del xw[0]
-            del yw[0]
-        return np.array(grad) / n
-
-    u = prep.u
-    loglin = spec.family == LOGLIN
-    r = theta.r
-    dim_lat = 1 + p + q
-    dim = dim_lat + (0 if loglin else 1)
-    xw = list(prep.xw0)
-    uw = list(prep.uw0)
-    sbuf = [[0.0] * dim_lat for _ in range(p)]
-    grad = [0.0] * dim
-    if not loglin:
-        dig_r = float(digamma(r))
-        dig = {v: float(digamma(r + v)) for v in set(y[1:])}
-    for k in range(1, n + 1):
-        uw.append(u[k - 1])
-        acc = omega
-        i = 1
-        for ai in a:
-            acc += ai * xw[-i]
-            i += 1
-        j = 1
-        for bj in b:
-            acc += bj * uw[-j]
-            j += 1
-        x = acc
-        s_new = [0.0] * dim_lat
-        s_new[0] = 1.0
-        for m in range(1, p + 1):
-            s_new[m] = xw[-m]
-        for m in range(1, q + 1):
-            s_new[p + m] = uw[-m]
-        for i in range(1, p + 1):
-            ai = a[i - 1]
-            if ai != 0.0:
-                si = sbuf[-i]
-                for c in range(dim_lat):
-                    s_new[c] += ai * si[c]
-        yk = y[k]
-        if loglin:
-            if not (CLAMP_LO <= x <= CLAMP_HI):
-                raise GradientUndefinedError(
-                    f"latent {x!r} at term {k} is clamped; gradient undefined there"
-                )
-            gl = yk - math.exp(x)
-        else:
-            if not (x > 0.0 and math.isfinite(x)):
-                raise GradientUndefinedError(
-                    f"latent {x!r} at term {k} makes the gradient undefined"
-                )
-            gl = yk / x - (r + yk) / (1.0 + x)
-            grad[dim_lat] += dig[yk] - dig_r - math.log1p(x)
-        for c in range(dim_lat):
-            grad[c] += gl * s_new[c]
-        sbuf.append(s_new)
-        del sbuf[0]
-        xw.append(x)
-        del xw[0]
-        del uw[0]
-    return np.array(grad) / n
+    The total is -inf where it is not finite.  The gradient is that of the
+    normalized log-likelihood, or None without ``grad``.  ``vec`` must
+    satisfy the family constraints (the caller validates or clips into the
+    box); clamping is silent here.  Where the gradient is undefined (a
+    clamped log-linear latent, or a latent that is not positive and finite
+    for NBIN and PARX) ``grad`` raises ``GradientUndefinedError``.
+    """
+    n, p, fam, y = des.n, des.p, des.family, des.y
+    ab = np.empty((n, p + 1)).T  # Fortran-ordered band: row i holds -a_i
+    ab[1:] = -vec[1 : 1 + p, None]
+    x = dtbtrs(ab, des.matrix @ vec, uplo="L", diag="U")[0]
+    if fam == LOGLIN:
+        xc = np.minimum(np.maximum(x, CLAMP_LO), CLAMP_HI)
+        mean = np.exp(xc)
+        total = y.dot(xc) - mean.sum()
+    elif fam == NBIN:
+        r = vec[-1]
+        vals, mult = des.counts
+        l1 = np.log1p(x)
+        total = mult.dot(gammaln(r + vals)) - n * gammaln(r) - r * l1.sum() + y.dot(np.log(x) - l1)
+    else:
+        total = y.dot(np.log(x)) - x.sum()
+    # The family constraints keep NBIN and PARX latents >= omega > 0, so a
+    # latent outside the density's domain is non-finite and so is the total.
+    total = float(total) - des.lnf_sum
+    if not math.isfinite(total):
+        total = -math.inf
+    if not grad:
+        return total, None
+    ok = (xc == x) if fam == LOGLIN else (x > 0.0) & (x < math.inf)  # NaN fails both
+    if not ok.all():
+        k = int(np.argmin(ok))
+        why = ("is clamped; gradient undefined there" if fam == LOGLIN
+               else "makes the gradient undefined")
+        raise GradientUndefinedError(f"latent {float(x[k])!r} at term {k + 1} {why}")
+    if fam == LOGLIN:
+        dens = y - mean
+    elif fam == NBIN:
+        dens = y / x - (r + y) / (1.0 + x)
+    else:
+        dens = y / x - 1.0
+    lam = dtbtrs(ab, dens, uplo="L", trans="T", diag="U")[0]
+    g = lam @ des.matrix
+    for i in range(1, min(p, n - 1) + 1):  # the a-columns' part on the path
+        g[i] += lam[i:] @ x[: n - i]
+    if fam == NBIN:
+        g[-1] = mult.dot(digamma(r + vals)) - n * digamma(r) - l1.sum()
+    return total, g / n
 
 
 def grad_loglik(
@@ -444,8 +432,8 @@ def grad_loglik(
     per-term density derivative.
     """
     validate_params(spec, theta)
-    prep = _prepare(spec, z_init, series)
-    return _grad_prepared(spec, theta, prep)
+    des = _design(spec, _prepare(spec, z_init, series))
+    return _kernel(des, pack_params(spec, theta), grad=True)[1]
 
 
 def finite_diff_grad(

@@ -33,7 +33,3 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in path))
     return np.random.Generator(np.random.Philox(ss))
 
-
-def replicate_seed_path(replicate: int, stage: int = 0) -> tuple[int, ...]:
-    """Canonical path for per-replicate streams in Monte Carlo harnesses."""
-    return (stage, int(replicate))

@@ -10,9 +10,10 @@ import pytest
 PKG = [sys.executable, "-m", "odmlab.cli"]
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
-        PKG + list(args), capture_output=True, text=True, cwd=cwd
+        PKG + list(args), capture_output=True, text=True, cwd=cwd,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -252,3 +253,14 @@ class TestMcConsistency:
         proc = run_cli("mc-consistency", "--config", cfg, "--out-dir", str(tmp_path / "o"))
         assert proc.returncode == 0
         assert "identifiab" in (proc.stderr + proc.stdout).lower()
+
+    def test_malformed_thread_cap_is_usage_error(self, tmp_path):
+        cfg = self.write_config(tmp_path, n=[40])
+        proc = run_cli(
+            "mc-consistency", "--config", cfg, "--out-dir", str(tmp_path / "o"),
+            env={"ODMLAB_THREADS": "abc"},
+        )
+        assert proc.returncode == 2
+        assert "ODMLAB_THREADS" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()

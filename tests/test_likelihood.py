@@ -1,11 +1,18 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from odmlab.families import log_density
+from odmlab.families import CLAMP_HI, CLAMP_LO, ClampWarning, log_density
+from odmlab.fit import FitOptions, default_box, fit_mle
 from odmlab.likelihood import (
     GradientUndefinedError,
+    _design,
+    _kernel,
+    _loglik_prepared,
+    _prepare,
     finite_diff_grad,
     grad_loglik,
     loglik,
@@ -18,11 +25,12 @@ from odmlab.model import (
     ObservationSeries,
     default_initial_window,
     pack_params,
+    unpack_params,
 )
 from odmlab.simulate import SimConfig, simulate_series
 
 import oracles
-from test_model import loglin_spec, parx_spec
+from test_model import loglin_spec, nbin_spec, parx_spec
 
 
 def zero_window(spec):
@@ -99,6 +107,19 @@ class TestLoglikValues:
         assert val.total == -math.inf
         assert val.bad_term is not None
         assert val.normalized == -math.inf
+
+    def test_clamping_counted_and_warned_once(self):
+        spec = loglin_spec()
+        th = spec.params(0.0, [2.0], [0.0])
+        series = ObservationSeries(y=tuple([1] * 30))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            val = loglik(spec, th, LatentWindow(x=(1.0,), u=()), series)
+        out = [k for k, x in enumerate(val.latent_path) if k and not CLAMP_LO <= x <= CLAMP_HI]
+        assert val.clamped == len(out) > 0
+        assert [w.category for w in caught] == [ClampWarning]
+        assert f"{len(out)} of {series.n}" in str(caught[0].message)
+        assert f"first at term {out[0]}" in str(caught[0].message)
 
     def test_covariate_flag_restricted_to_parx(self):
         spec = loglin_spec()
@@ -178,6 +199,102 @@ class TestGradient:
         series = ObservationSeries(y=(1, 1, 1))
         with pytest.raises(GradientUndefinedError):
             grad_loglik(spec, th, z, series)
+
+
+SPECS = {"loglin": loglin_spec, "nbin": nbin_spec, "parx": parx_spec}
+
+
+def random_point(spec, rng):
+    """A point with coefficient mass 0.7: in the stability region for NBIN
+    and PARX, and a slowly moving latent for the log-linear family."""
+    if spec.family == LOGLIN:
+        a = rng.uniform(-1.0, 1.0, spec.p)
+        b = rng.uniform(-1.0, 1.0, spec.q)
+        scale = 0.7 / (np.abs(a).sum() + np.abs(b).sum())
+        return spec.params(rng.uniform(-0.5, 0.8), a * scale, b * scale)
+    a = rng.uniform(0.0, 1.0, spec.p)
+    b = rng.uniform(0.0, 1.0, spec.q)
+    if spec.family == NBIN:
+        r = rng.uniform(0.5, 4.0)
+        scale = 0.7 / (a.sum() + r * b.sum())
+        return spec.params(rng.uniform(0.3, 2.0), a * scale, b * scale, r=r)
+    scale = 0.7 / (a.sum() + b.sum())
+    return spec.params(rng.uniform(0.3, 2.0), a * scale, b * scale,
+                       gamma=rng.uniform(0.0, 0.5, spec.parx.d))
+
+
+class TestKernel:
+    """The vectorized kernel against the sequential pass and central differences."""
+
+    @pytest.mark.parametrize("family,p,q", itertools.product(SPECS, (1, 2, 3), (1, 2, 3)))
+    def test_value_and_gradient(self, family, p, q):
+        rng = np.random.default_rng([p, q, len(family)])
+        spec = SPECS[family](p, q)
+        for n in (1, 2, 3, 4, 5, 60):
+            th = random_point(spec, rng)
+            series = oracles.random_series(spec, rng, n)
+            z = oracles.random_window(spec, rng)  # non-constant: every lag distinct
+            prep = _prepare(spec, z, series)
+            total, g = _kernel(_design(spec, prep), pack_params(spec, th), grad=True)
+            ref = _loglik_prepared(spec, th, prep, False, False).total
+            assert abs(total - ref) <= 1e-12 * abs(ref)
+            fd = finite_diff_grad(spec, th, z, series)
+            # criterion 2's rule
+            assert np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1e-4)) < 1e-5
+            assert np.array_equal(grad_loglik(spec, th, z, series), g)
+
+    @pytest.mark.filterwarnings("ignore::odmlab.families.ClampWarning")
+    @pytest.mark.parametrize(
+        "spec,th,z",
+        [
+            (loglin_spec(), (0.5, [2.0], [0.1]), (0.3,)),
+            (loglin_spec(2, 1), (1.0, [0.0, 1e200], [0.5]), (0.0, 0.0)),
+            (loglin_spec(1, 2), (1.0, [0.0], [0.5, 0.1]), (0.0,)),
+            (nbin_spec(), (1.0, [1e200], [0.1], 2.0), (2.0,)),
+            (nbin_spec(1, 2), (1.0, [0.3], [0.2, 0.1], 2.0), (2.0,)),
+            (parx_spec(), (0.5, [1e200], [0.1], None, [0.2, 0.1]), ((1.5, (0.0, 0.0)),)),
+        ],
+    )
+    def test_undefined_gradient_matches_sequential_path(self, spec, th, z):
+        th = spec.params(*th)
+        u = () if spec.q == 1 else (1.0,)
+        z = LatentWindow(x=z, u=u)
+        y = (1, 3, 0, 2, 5, 1, 0, 4, 2, 1, 3, 0)
+        cov = tuple((0.1 * k, -0.2) for k in range(len(y))) if spec.family == PARX else None
+        series = ObservationSeries(y=y, covariates=cov)
+        val = loglik(spec, th, z, series)
+        if spec.family == LOGLIN:
+            undefined = [not CLAMP_LO <= x <= CLAMP_HI for x in val.latent_path[1:]]
+        else:
+            undefined = [not (x > 0.0 and math.isfinite(x)) for x in val.latent_path[1:]]
+        total = _kernel(_design(spec, _prepare(spec, z, series)), pack_params(spec, th))[0]
+        if not any(undefined):
+            assert total == pytest.approx(val.total, rel=1e-12)
+            grad_loglik(spec, th, z, series)
+            return
+        first = undefined.index(True) + 1
+        with pytest.raises(GradientUndefinedError, match=rf"at term {first} "):
+            grad_loglik(spec, th, z, series)
+        if spec.family == LOGLIN:
+            assert total == pytest.approx(val.total, rel=1e-12)
+        else:
+            assert total == val.total == -math.inf
+
+    def test_fit_warns_at_most_once_per_start_and_result(self):
+        spec = loglin_spec(2, 2)
+        th = spec.params(0.1, [0.3, 0.2], [0.2, 0.1])
+        sim = simulate_series(spec, th, SimConfig(n=300, burn_in=100, seed=4))
+        corner = unpack_params(spec, default_box(spec).upper)
+        z = default_initial_window(spec, sim.series)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert loglik(spec, corner, z, sim.series, keep_path=False).clamped > 0
+            caught.clear()
+            opts = FitOptions(starts=2, extra_starts=(corner,))
+            res = fit_mle(spec, sim.series, opts=opts)
+        clamps = [w for w in caught if w.category is ClampWarning]
+        assert len(clamps) <= res.starts + 1
+        assert res.loglik.normalized == max(t.value for t in res.trace)
 
 
 class TestFiniteDifferences:
