@@ -64,6 +64,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ReplicateOutcome:
+    """One replicate's estimate, or ``error`` as "<stage>: <exception class>:
+    <message>", the stage being "simulate" or "fit"."""
+
     n: int
     replicate: int
     theta_hat: Optional[tuple[float, ...]]
@@ -128,10 +131,12 @@ def _replicate_seed(master_seed: int, n_index: int, replicate: int) -> int:
 def _run_replicate(args) -> tuple[ReplicateOutcome, float]:
     spec, theta_star, n, n_index, replicate, seed, box, fit_opts, burn_in = args
     t0 = time.perf_counter()
+    stage = "simulate"
     try:
         sim = simulate_series(
             spec, theta_star, SimConfig(n=n, burn_in=burn_in, seed=seed)
         )
+        stage = "fit"
         result = fit_mle(spec, sim.series, box=box, opts=fit_opts)
         outcome = ReplicateOutcome(
             n=n,
@@ -141,8 +146,9 @@ def _run_replicate(args) -> tuple[ReplicateOutcome, float]:
             error=None,
         )
     except Exception as exc:  # recorded, not fatal
+        error = f"{stage}: {type(exc).__name__}: {exc}"
         outcome = ReplicateOutcome(
-            n=n, replicate=replicate, theta_hat=None, converged=False, error=str(exc)
+            n=n, replicate=replicate, theta_hat=None, converged=False, error=error
         )
     return outcome, time.perf_counter() - t0
 

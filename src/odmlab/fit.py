@@ -10,8 +10,9 @@ pinned and excluded from the search.
 The search evaluates the likelihood's vectorized kernel, which agrees with
 the sequential pass to rounding.  Each start's final point is then
 re-evaluated once by the exact sequential pass; those values rank the
-starts, so the reported log-likelihood equals :func:`loglik` at the
-estimate bit for bit.
+starts, and the winner's is reported, so the reported log-likelihood equals
+:func:`loglik` at the estimate bit for bit.  The forecast runs the same
+sequential recursion over the prepared data.
 """
 
 from __future__ import annotations
@@ -32,18 +33,18 @@ from .likelihood import (
     _kernel,
     _loglik_prepared,
     _prepare,
-    loglik,
+    loglik,  # unused here; bench/tracing.py wraps odmlab.fit.loglik
 )
 from .model import (
     LOGLIN,
     NBIN,
-    PARX,
     LatentWindow,
     ModelSpec,
     ObservationSeries,
     ParameterVector,
+    _latent_path,
     default_initial_window,
-    iterate_latent,
+    iterate_latent,  # unused here; bench/tracing.py wraps odmlab.fit.iterate_latent
     pack_params,
     param_names,
     unpack_params,
@@ -434,6 +435,7 @@ def fit_mle(
             starts_full = kept
 
     traces = []
+    values = []  # each start's sequential LikelihoodValue, aligned with traces
     for idx, start in enumerate(starts_full):
         start = box.clip(start)
         final_full, evals, converged, polish_status = start, 1, True, "off"
@@ -459,7 +461,8 @@ def fit_mle(
                 )
             final_full = box.clip(expand(xb))
         theta = unpack_params(spec, final_full)
-        value = _loglik_prepared(spec, theta, prep, False, False).normalized
+        values.append(_loglik_prepared(spec, theta, prep, False, False))
+        value = values[-1].normalized
         if not math.isfinite(value):
             value = -math.inf
         excluded = False
@@ -486,11 +489,11 @@ def fit_mle(
         )
     best = max(candidates, key=lambda t: (t.value, -t.start_index))
     theta_hat = unpack_params(spec, best.final)
-    final_val = loglik(spec, theta_hat, z_init, series, keep_path=False)
+    validate_params(spec, theta_hat)
     report = check_model(spec, theta_hat)
     return FitResult(
         theta_hat=theta_hat,
-        loglik=final_val,
+        loglik=values[best.start_index],
         starts=len(starts_full),
         converged=best.converged,
         condition_report=report,
@@ -504,11 +507,12 @@ def forecast_one_step(
     z_init: LatentWindow,
     series: ObservationSeries,
 ) -> PredictiveDistribution:
-    """Predictive law of the next count after the observed series."""
+    """Predictive law of the next count after the observed series.
+
+    Runs the latent recursion over all n + 1 observations, so a series of
+    one observation (n = 0) forecasts too.
+    """
     validate_params(spec, theta)
-    if spec.family == PARX:
-        obs = list(zip(series.y, series.covariates))
-    else:
-        obs = list(series.y)
-    x_next = iterate_latent(spec, theta, z_init, obs)
+    prep = _prepare(spec, z_init, series)
+    x_next = _latent_path(theta, prep.xw0, prep.uw0, prep.u, prep.feats)[-1]
     return predictive(spec, theta, x_next)

@@ -3,15 +3,17 @@
 With omega, the observation lags, the PARX feature term and (for k <= p) the
 initial window collected in d_k, the latents x_1..x_n solve the banded unit
 lower-triangular system x_k - sum_i a_i x_{k-i} = d_k; the first observation
-only conditions the recursion.  :func:`loglik` runs the recursion and sums
-the per-term log-densities sequentially, which alone matches a brute-force
+only conditions the recursion.  :func:`loglik` takes the latent path from
+the model's one sequential recursion (the same arithmetic as
+:func:`~odmlab.model.iterate_latent`), then evaluates the family's density
+at each term and sums the terms in order; that alone matches a brute-force
 recomputation to 1e-12 absolute on explosive log-linear totals (up to 1e96).
 A private vectorized kernel solves the system with LAPACK ``dtbtrs`` and
 gets the gradient from one transposed solve for the adjoint weights; the
 optimizer and :func:`grad_loglik` use it, and its value agrees with
 :func:`loglik` to rounding.  Both cost O(n * (p + q)).  Private prepared
-forms of (series, initial window) let the optimizer evaluate many points
-without re-reducing the data.
+forms of (series, initial window) let the optimizer and the forecast reuse
+the reduced data.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .model import (
     ModelSpec,
     ObservationSeries,
     ParameterVector,
+    _latent_path,
     check_series,
     pack_params,
     unpack_params,
@@ -53,7 +56,8 @@ class LikelihoodValue:
     ``per_term`` holds the n per-observation terms and ``latent_path`` the
     n + 1 latent values x_0..x_n (intensity component for PARX); both are
     dropped in streaming mode.  ``bad_term`` names the first k whose term is
-    -inf or non-finite, in which case ``total`` is -inf.  ``clamped`` counts
+    -inf or non-finite, in which case ``total`` is -inf and ``per_term``
+    stops at term k; ``latent_path`` is always whole.  ``clamped`` counts
     the log-linear terms whose latent was clamped to [CLAMP_LO, CLAMP_HI]
     before exponentiation; a pass that clamps warns once.
     """
@@ -85,8 +89,6 @@ def _prepare(spec: ModelSpec, z_init: LatentWindow, series: ObservationSeries) -
     validate_window(spec, z_init)
     check_series(spec, series)
     n = series.n
-    if n < 1:
-        raise ValueError("need at least two observations (n >= 1 likelihood terms)")
     y = tuple(int(v) for v in series.y)
     cache: dict[int, float] = {}
     for v in y:
@@ -103,6 +105,11 @@ def _prepare(spec: ModelSpec, z_init: LatentWindow, series: ObservationSeries) -
         uw0 = tuple(e[0] for e in z_init.u)
         return _Prepared(n, y, u, feats, lnf, xw0, uw0, series.covariates)
     return _Prepared(n, y, u, None, lnf, tuple(z_init.x), tuple(z_init.u), None)
+
+
+def _require_terms(n: int) -> None:
+    if n < 1:
+        raise ValueError("need at least two observations (n >= 1 likelihood terms)")
 
 
 @dataclass(frozen=True)
@@ -122,6 +129,7 @@ class _Design:
 
 def _design(spec: ModelSpec, prep: _Prepared) -> _Design:
     n, p, q = prep.n, spec.p, spec.q
+    _require_terms(n)
     matrix = np.zeros((n, 1 + p + q + (spec.family == NBIN)))
     matrix[:, 0] = 1.0
     for k in range(1, min(p, n) + 1):
@@ -140,14 +148,6 @@ def _design(spec: ModelSpec, prep: _Prepared) -> _Design:
     return _Design(n, p, spec.family, matrix, y, math.fsum(prep.lnf), counts)
 
 
-def _clamp(x: float, k: int, clamped: list) -> float:
-    # an out-of-range latent is clamped and its term recorded; NaN passes through
-    if math.isnan(x):
-        return x
-    clamped.append(k)
-    return CLAMP_LO if x < CLAMP_LO else CLAMP_HI
-
-
 def _loglik_prepared(
     spec: ModelSpec,
     theta: ParameterVector,
@@ -155,180 +155,57 @@ def _loglik_prepared(
     keep_path: bool,
     include_covariate_density: bool,
 ) -> LikelihoodValue:
-    n = prep.n
-    omega, a, b = theta.omega, theta.a, theta.b
-    p, q = spec.p, spec.q
-    pq1 = p == 1 and q == 1
-    y, u, lnf = prep.y, prep.u, prep.lnf
-    per = [] if keep_path else None
-    path = [prep.xw0[-1]] if keep_path else None
-    total = 0.0
-    bad = None
-    clamped: list[int] = []
-    exp = math.exp
+    n, lnf = prep.n, prep.lnf
+    _require_terms(n)
+    xs = _latent_path(theta, prep.xw0, prep.uw0, prep.u[:n], prep.feats)
+    ys = prep.y[1:]
+    terms = []
+    add = terms.append
+    clamped = first_clamped = 0
     log = math.log
-    log1p = math.log1p
-    isfinite = math.isfinite
-
-    if spec.family == PARX:
-        gamma = theta.gamma
-        feats = prep.feats
-        xw = list(prep.xw0)
-        yw = list(prep.uw0)
-        a1 = a[0] if pq1 else 0.0
-        b1 = b[0] if pq1 else 0.0
-        x = xw[-1]
-        for k in range(1, n + 1):
-            f_now = feats[k - 1]
-            if pq1:
-                acc = omega
-                acc += a1 * x
-                acc += b1 * u[k - 1]
-                for m in range(len(gamma)):
-                    acc += gamma[m] * f_now[m]
-                x = acc
-            else:
-                yw.append(u[k - 1])
-                acc = omega
-                i = 1
-                for ai in a:
-                    acc += ai * xw[-i]
-                    i += 1
-                j = 1
-                for bj in b:
-                    acc += bj * yw[-j]
-                    j += 1
-                for m in range(len(gamma)):
-                    acc += gamma[m] * f_now[m]
-                x = acc
-                xw.append(x)
-                del xw[0]
-                del yw[0]
-            if keep_path:
-                path.append(x)
-            yk = y[k]
-            if x > 0.0 and isfinite(x):
-                term = -x + yk * log(x) - lnf[k - 1]
-            elif x == 0.0:
-                term = 0.0 if yk == 0 else -math.inf
-            else:
-                term = -math.inf
-            if include_covariate_density:
-                term += covariate_log_density(
-                    spec, prep.covariates[k - 1], prep.covariates[k]
-                )
-            if keep_path:
-                per.append(term)
-            if not isfinite(term):
-                bad = k
-                total = -math.inf
-                break
-            total += term
-    elif spec.family == LOGLIN:
-        if pq1:
-            a1, b1 = a[0], b[0]
-            x = prep.xw0[-1]
-            for k in range(1, n + 1):
-                acc = omega
-                acc += a1 * x
-                acc += b1 * u[k - 1]
-                x = acc
-                if keep_path:
-                    path.append(x)
-                yk = y[k]
-                xc = x if CLAMP_LO <= x <= CLAMP_HI else _clamp(x, k, clamped)
-                term = -exp(xc) + yk * xc - lnf[k - 1]
-                if keep_path:
-                    per.append(term)
-                if not isfinite(term):
-                    bad = k
-                    total = -math.inf
-                    break
-                total += term
-        else:
-            xw = list(prep.xw0)
-            uw = list(prep.uw0)
-            for k in range(1, n + 1):
-                uw.append(u[k - 1])
-                acc = omega
-                i = 1
-                for ai in a:
-                    acc += ai * xw[-i]
-                    i += 1
-                j = 1
-                for bj in b:
-                    acc += bj * uw[-j]
-                    j += 1
-                x = acc
-                xw.append(x)
-                del xw[0]
-                del uw[0]
-                if keep_path:
-                    path.append(x)
-                yk = y[k]
-                xc = x if CLAMP_LO <= x <= CLAMP_HI else _clamp(x, k, clamped)
-                term = -exp(xc) + yk * xc - lnf[k - 1]
-                if keep_path:
-                    per.append(term)
-                if not isfinite(term):
-                    bad = k
-                    total = -math.inf
-                    break
-                total += term
-    else:  # NBIN
+    inf = math.inf
+    if spec.family == LOGLIN:
+        exp = math.exp
+        for x, yk, lf in zip(xs, ys, lnf):
+            if not CLAMP_LO <= x <= CLAMP_HI and x == x:  # NaN passes through
+                clamped += 1
+                first_clamped = first_clamped or len(terms) + 1  # this term's k
+                x = CLAMP_LO if x < CLAMP_LO else CLAMP_HI
+            add(-exp(x) + yk * x - lf)
+    elif spec.family == NBIN:
         r = theta.r
+        log1p = math.log1p
         lgamma_r = math.lgamma(r)
         # Per distinct count: lgamma(r + y) - ln y! - lgamma(r), associated
         # exactly as in families.log_density.
-        head = {v: math.lgamma(r + v) - lnfact(v) - lgamma_r for v in set(y[1:])}
-        xw = list(prep.xw0)
-        uw = list(prep.uw0)
-        x = xw[-1]
-        a1 = a[0] if pq1 else 0.0
-        b1 = b[0] if pq1 else 0.0
-        for k in range(1, n + 1):
-            if pq1:
-                acc = omega
-                acc += a1 * x
-                acc += b1 * u[k - 1]
-                x = acc
-            else:
-                uw.append(u[k - 1])
-                acc = omega
-                i = 1
-                for ai in a:
-                    acc += ai * xw[-i]
-                    i += 1
-                j = 1
-                for bj in b:
-                    acc += bj * uw[-j]
-                    j += 1
-                x = acc
-                xw.append(x)
-                del xw[0]
-                del uw[0]
-            if keep_path:
-                path.append(x)
-            yk = y[k]
-            if x > 0.0 and isfinite(x):
+        head = {v: math.lgamma(r + v) - lnfact(v) - lgamma_r for v in set(ys)}
+        for x, yk in zip(xs, ys):
+            if 0.0 < x < inf:
                 l1 = log1p(x)
-                term = head[yk] - r * l1 + yk * log(x) - yk * l1
-            elif x == 0.0:
-                term = 0.0 if yk == 0 else -math.inf
+                add(head[yk] - r * l1 + yk * log(x) - yk * l1)
             else:
-                term = -math.inf
-            if keep_path:
-                per.append(term)
-            if not isfinite(term):
-                bad = k
-                total = -math.inf
-                break
-            total += term
+                add(0.0 if x == 0.0 and yk == 0 else -inf)
+    else:  # PARX
+        for x, yk, lf in zip(xs, ys, lnf):
+            if 0.0 < x < inf:
+                add(-x + yk * log(x) - lf)
+            else:
+                add(0.0 if x == 0.0 and yk == 0 else -inf)
+        if include_covariate_density:
+            cov = prep.covariates
+            terms = [
+                t + covariate_log_density(spec, cov[k], cov[k + 1]) for k, t in enumerate(terms)
+            ]
 
+    # np.cumsum adds in order, so its last entry is the sequential sum
+    values = np.array(terms)
+    finite = np.isfinite(values)
+    bad = None if finite.all() else int(finite.argmin()) + 1
+    total = -inf if bad else float(np.cumsum(values)[-1])
     if clamped:
         warnings.warn(
-            f"{len(clamped)} of {n} latent values clamped to [{CLAMP_LO:.0f}, {CLAMP_HI:.0f}] "
-            f"before exponentiation, the first at term {clamped[0]}",
+            f"{clamped} of {n} latent values clamped to [{CLAMP_LO:.0f}, {CLAMP_HI:.0f}] "
+            f"before exponentiation, the first at term {first_clamped}",
             ClampWarning,
             stacklevel=3,
         )
@@ -336,10 +213,10 @@ def _loglik_prepared(
         normalized=total / n,
         total=total,
         n=n,
-        per_term=None if per is None else tuple(per),
-        latent_path=None if path is None else tuple(path),
+        per_term=tuple(terms[:bad]) if keep_path else None,
+        latent_path=(prep.xw0[-1], *xs) if keep_path else None,
         bad_term=bad,
-        clamped=len(clamped),
+        clamped=clamped,
     )
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -306,9 +307,11 @@ def check_series(spec: ModelSpec, series: ObservationSeries) -> None:
 
 # --- reductions and link steps ------------------------------------------------
 #
-# All code paths that advance the latent recursion funnel through
-# _affine_scalar / _affine_parx so that the one-step link, the sliding-window
-# step and the running iteration produce bitwise identical values.
+# Every code path that advances the latent recursion -- the one-step link,
+# the sliding-window step, the running iteration, the likelihood pass, the
+# forecast and the simulator -- funnels through _affine (or the p = q = 1 line
+# of _latent_path, which adds in the same order), so they all produce bitwise
+# identical values.
 
 
 def reduce(spec: ModelSpec, y):
@@ -330,38 +333,51 @@ def reduce(spec: ModelSpec, y):
     return float(y)
 
 
-def _affine_scalar(omega: float, a, b, xw, uw) -> float:
-    # xw has >= len(a) entries newest-last; uw has >= len(b) entries newest-last.
+def _affine(omega: float, a, b, xw, uw, gamma=(), f=()) -> float:
+    # xw has >= len(a) entries newest-last; uw has >= len(b) entries
+    # newest-last (PARX: the counts).  Only the newest feature row f enters
+    # (block-matrix structure of the PARX link).
     acc = omega
-    i = 1
+    i = -1
     for ai in a:
-        acc += ai * xw[-i]
-        i += 1
-    j = 1
+        acc += ai * xw[i]
+        i -= 1
+    i = -1
     for bj in b:
-        acc += bj * uw[-j]
-        j += 1
-    return acc
-
-
-def _affine_parx(omega: float, a, b, gamma, xw, yw, f_new) -> float:
-    # Same layout as _affine_scalar; the feature block of the newest reduced
-    # observation is the only one that enters (block-matrix structure of the
-    # PARX link).
-    acc = omega
-    i = 1
-    for ai in a:
-        acc += ai * xw[-i]
-        i += 1
-    j = 1
-    for bj in b:
-        acc += bj * yw[-j]
-        j += 1
-    m = 0
+        acc += bj * uw[i]
+        i -= 1
+    i = 0
     for gm in gamma:
-        acc += gm * f_new[m]
-        m += 1
+        acc += gm * f[i]
+        i += 1
     return acc
+
+
+def _latent_path(theta: ParameterVector, xw0, uw0, u, f=None) -> list:
+    """x_1..x_m from the window (xw0, uw0) and the reduced data u_0..u_{m-1}.
+
+    ``u[k]`` is u_k (PARX: the count y_k) and ``f[k]`` the PARX feature row
+    f_k; x_k reads u_{k-1} and f_{k-1}.
+    """
+    omega, a, b, gamma = theta.omega, theta.a, theta.b, theta.gamma or ()
+    if len(a) == len(b) == 1 and not gamma:
+        # _affine's additions in _affine's order, inlined: at p = q = 1 a call
+        # per term about doubles the cost of the pass
+        a1, b1 = a[0], b[0]
+        x = xw0[-1]
+        path = []
+        append = path.append
+        for uk in u:
+            x = omega + a1 * x + b1 * uk
+            append(x)
+        return path
+    xw = list(xw0)
+    uw = list(uw0)
+    step, observe = xw.append, uw.append
+    for uk, fk in zip(u, repeat(()) if f is None else f):
+        observe(uk)
+        step(_affine(omega, a, b, xw, uw, gamma, fk))
+    return xw[len(xw0):]
 
 
 def link_step(spec: ModelSpec, theta: ParameterVector, z: LatentWindow, u_now):
@@ -374,10 +390,8 @@ def link_step(spec: ModelSpec, theta: ParameterVector, z: LatentWindow, u_now):
         y_now, f_now, xi_now = u_now
         xw = [e[0] for e in z.x]
         yw = [e[0] for e in z.u] + [y_now]
-        val = _affine_parx(theta.omega, theta.a, theta.b, theta.gamma, xw, yw, f_now)
-        return (val, xi_now)
-    uw = list(z.u) + [u_now]
-    return _affine_scalar(theta.omega, theta.a, theta.b, z.x, uw)
+        return (_affine(theta.omega, theta.a, theta.b, xw, yw, theta.gamma, f_now), xi_now)
+    return _affine(theta.omega, theta.a, theta.b, z.x, z.u + (u_now,))
 
 
 def embed_step(spec: ModelSpec, theta: ParameterVector, z: LatentWindow, y) -> LatentWindow:
@@ -403,37 +417,18 @@ def iterate_latent(spec: ModelSpec, theta: ParameterVector, z_init: LatentWindow
     """Run the latent recursion through ``y_prefix`` and return the final latent.
 
     With an empty prefix this is the projection of the initial window.  The
-    pass is a single left-to-right sweep over the observations with O(p + q)
-    state, sharing its arithmetic with :func:`embed_step`.
+    prefix is reduced, then :func:`_latent_path` runs the recursion, sharing
+    its arithmetic with :func:`embed_step`.
     """
+    u = [reduce(spec, y) for y in y_prefix]
+    if not u:
+        return project_latent(spec, z_init)
     if spec.family == PARX:
-        xw = [e[0] for e in z_init.x]
-        yw = [e[0] for e in z_init.u]
-        xi_last = z_init.x[-1][1]
-        for ybar in y_prefix:
-            y_now, f_now, xi_now = reduce(spec, ybar)
-            yw.append(y_now)
-            x_new = _affine_parx(theta.omega, theta.a, theta.b, theta.gamma, xw, yw, f_now)
-            xw.append(x_new)
-            xi_last = xi_now
-            if len(xw) > spec.p:
-                del xw[0]
-            if len(yw) > spec.q - 1:
-                del yw[0]
-        if len(y_prefix) == 0:
-            return z_init.x[-1]
-        return (xw[-1], xi_last)
-    xw = list(z_init.x)
-    uw = list(z_init.u)
-    for y in y_prefix:
-        uw.append(reduce(spec, y))
-        x_new = _affine_scalar(theta.omega, theta.a, theta.b, xw, uw)
-        xw.append(x_new)
-        if len(xw) > spec.p:
-            del xw[0]
-        if len(uw) > spec.q - 1:
-            del uw[0]
-    return xw[-1]
+        xw0 = [e[0] for e in z_init.x]
+        uw0 = [e[0] for e in z_init.u]
+        x = _latent_path(theta, xw0, uw0, [v[0] for v in u], [v[1] for v in u])[-1]
+        return (x, u[-1][2])
+    return _latent_path(theta, z_init.x, z_init.u, u)[-1]
 
 
 def constant_window(spec: ModelSpec, x1, y1, xi1=None) -> LatentWindow:

@@ -18,17 +18,16 @@ import numpy as np
 from . import rng as rngmod
 from .conditions import check_model
 from .families import sample_observation
-from .model import DomainError
 from .model import (
     LOGLIN,
     NBIN,
     PARX,
+    DomainError,
     LatentWindow,
     ModelSpec,
     ObservationSeries,
     ParameterVector,
-    _affine_parx,
-    _affine_scalar,
+    _affine,
     constant_window,
     validate_params,
     validate_window,
@@ -84,51 +83,25 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
     z0 = cfg.z_init if cfg.z_init is not None else default_simulation_window(spec, theta)
     validate_window(spec, z0)
     obs_rng = rngmod.substream(cfg.seed, rngmod.OBSERVATION)
-    total = cfg.burn_in + cfg.n + 1
-    omega, a, b = theta.omega, theta.a, theta.b
-    p, q = spec.p, spec.q
+    omega, a, b, gamma = theta.omega, theta.a, theta.b, theta.gamma or ()
+    loglin = spec.family == LOGLIN
+    limit = EXPLOSION_LOGLIN if loglin else EXPLOSION_OTHER
     ys: list[int] = []
     xs: list[float] = []
-
+    xis: Optional[list[tuple[float, ...]]] = None
+    feats = ()
     if spec.family == PARX:
         cov_rng = rngmod.substream(cfg.seed, rngmod.COVARIATE)
         cfgx = spec.parx
         aleph = cfgx.aleph_matrix()
-        sigma = cfgx.sigma
-        gamma = theta.gamma
-        xw = [e[0] for e in z0.x]
-        yw = [e[0] for e in z0.u]
         xi = np.asarray(z0.x[-1][1], dtype=float)
-        xis: list[tuple[float, ...]] = []
-        for t in range(total):
-            x = xw[-1]
-            if not (x <= EXPLOSION_OTHER) or not math.isfinite(x):
-                raise LatentExplosionError(
-                    f"latent {x:.6g} exceeded {EXPLOSION_OTHER:.0e} at step {t}; "
-                    "run the stability check on these parameters"
-                )
-            y = sample_observation(spec, theta, x, obs_rng)
-            xi = aleph @ xi + sigma * cov_rng.standard_normal(cfgx.r_dim)
-            if t >= cfg.burn_in:
-                ys.append(y)
-                xs.append(x)
-                xis.append(tuple(float(v) for v in xi))
-            feats = cfgx.feature_values(xi)
-            yw.append(float(y))
-            x_new = _affine_parx(omega, a, b, gamma, xw, yw, feats)
-            xw.append(x_new)
-            if len(xw) > p:
-                del xw[0]
-            if len(yw) > q - 1:
-                del yw[0]
-        series = ObservationSeries(y=tuple(ys), covariates=tuple(xis))
-        return SimResult(series=series, latents=tuple(xs), seed=cfg.seed)
-
-    limit = EXPLOSION_LOGLIN if spec.family == LOGLIN else EXPLOSION_OTHER
-    loglin = spec.family == LOGLIN
-    xw = list(z0.x)
-    uw = list(z0.u)
-    for t in range(total):
+        xis = []
+        xw = [e[0] for e in z0.x]
+        uw = [e[0] for e in z0.u]
+    else:
+        xw = list(z0.x)
+        uw = list(z0.u)
+    for t in range(cfg.burn_in + cfg.n + 1):
         x = xw[-1]
         bad = (abs(x) > limit) if loglin else (not 0.0 <= x <= limit)
         if bad or not math.isfinite(x):
@@ -140,17 +113,20 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
             y = sample_observation(spec, theta, x, obs_rng)
         except DomainError as exc:
             raise LatentExplosionError(f"at step {t}: {exc}") from exc
+        if xis is not None:
+            xi = aleph @ xi + cfgx.sigma * cov_rng.standard_normal(cfgx.r_dim)
+            feats = cfgx.feature_values(xi)
         if t >= cfg.burn_in:
             ys.append(y)
             xs.append(x)
+            if xis is not None:
+                xis.append(tuple(float(v) for v in xi))
         uw.append(math.log1p(y) if loglin else float(y))
-        x_new = _affine_scalar(omega, a, b, xw, uw)
-        xw.append(x_new)
-        if len(xw) > p:
-            del xw[0]
-        if len(uw) > q - 1:
-            del uw[0]
-    return SimResult(series=ObservationSeries(y=tuple(ys)), latents=tuple(xs), seed=cfg.seed)
+        xw.append(_affine(omega, a, b, xw, uw, gamma, feats))
+        del xw[0]
+        del uw[0]
+    series = ObservationSeries(y=tuple(ys), covariates=None if xis is None else tuple(xis))
+    return SimResult(series=series, latents=tuple(xs), seed=cfg.seed)
 
 
 @dataclass(frozen=True)

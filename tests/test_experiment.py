@@ -72,3 +72,12 @@ class TestReportShape:
         lines = report.tsv_lines()
         assert lines[0] == "n\tcoord\tbias\trmse\tmedae"
         assert len(lines) == 1 + len(report.cells)
+
+    def test_failed_replicate_names_stage_and_class(self):
+        spec = loglin_spec()
+        th = spec.params(0.1, [1.2], [0.2])  # explosive: a > 1
+        report = run_mc_consistency(tiny_config(th, ns=(40,), replicates=2), workers=1)
+        assert report.failure_fraction == 1
+        for outcome in report.replicates:
+            assert outcome.theta_hat is None
+            assert outcome.error.startswith("simulate: LatentExplosionError: ")

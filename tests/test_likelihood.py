@@ -107,6 +107,8 @@ class TestLoglikValues:
         assert val.total == -math.inf
         assert val.bad_term is not None
         assert val.normalized == -math.inf
+        assert len(val.latent_path) == series.n + 1
+        assert len(val.per_term) == val.bad_term
 
     def test_clamping_counted_and_warned_once(self):
         spec = loglin_spec()
@@ -120,6 +122,15 @@ class TestLoglikValues:
         assert [w.category for w in caught] == [ClampWarning]
         assert f"{len(out)} of {series.n}" in str(caught[0].message)
         assert f"first at term {out[0]}" in str(caught[0].message)
+
+    def test_one_observation_has_no_likelihood(self):
+        spec = loglin_spec()
+        th = spec.params(0.1, [0.2], [0.1])
+        series = ObservationSeries(y=(3,))
+        with pytest.raises(ValueError, match="at least two observations"):
+            loglik(spec, th, zero_window(spec), series)
+        with pytest.raises(ValueError, match="at least two observations"):
+            grad_loglik(spec, th, zero_window(spec), series)
 
     def test_covariate_flag_restricted_to_parx(self):
         spec = loglin_spec()

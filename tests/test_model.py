@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odmlab.families import predictive
+from odmlab.fit import forecast_one_step
+from odmlab.likelihood import loglik
 from odmlab.model import (
     LOGLIN,
     NBIN,
@@ -117,18 +120,66 @@ class TestIterateLatent:
         assert got == pytest.approx(0.25 + 0.5 * math.log(2.0), abs=1e-12)
 
     def test_matches_unrolled_oracle_exactly(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            spec, th = oracles.random_instance(rng)
-            series = oracles.random_series(spec, rng, 40)
-            z = oracles.random_window(spec, rng)
-            path = oracles.unrolled_latent_path(spec, th, z, series, 40)
+        for spec, th, z, series, obs, path in oracle_instances():
+            got = iterate_latent(spec, th, z, obs[:40])
             if spec.family == PARX:
-                obs = list(zip(series.y, series.covariates))
-                got = iterate_latent(spec, th, z, obs[:40])[0]
-            else:
-                got = iterate_latent(spec, th, z, list(series.y)[:40])
+                got = got[0]
             assert got == path[-1]
+
+
+def oracle_instances():
+    """50 random (spec, theta, window, series, observations, oracle path)
+    instances at n = 40, every family, p and q <= 3."""
+    rng = np.random.default_rng(42)
+    for _ in range(50):
+        spec, th = oracles.random_instance(rng)
+        series = oracles.random_series(spec, rng, 40)
+        z = oracles.random_window(spec, rng)
+        path = oracles.unrolled_latent_path(spec, th, z, series, 40)
+        if spec.family == PARX:
+            obs = list(zip(series.y, series.covariates))
+        else:
+            obs = list(series.y)
+        yield spec, th, z, series, obs, path
+
+
+@pytest.mark.filterwarnings("ignore::odmlab.families.ClampWarning")
+class TestSharedRecursion:
+    """Every sequential caller of the recursion against the same oracle path."""
+
+    def test_loglik_path_matches_oracle_and_terms_add_in_order(self):
+        for spec, th, z, series, obs, path in oracle_instances():
+            val = loglik(spec, th, z, series)
+            assert val.latent_path[1:] == tuple(path)
+            total = 0.0
+            for term in val.per_term:
+                total += term
+            assert val.total == total
+
+    def test_forecast_matches_iterate(self):
+        families = set()
+        for spec, th, z, series, obs, path in oracle_instances():
+            families.add(spec.family)
+            expected = predictive(spec, th, iterate_latent(spec, th, z, obs))
+            assert forecast_one_step(spec, th, z, series) == expected
+        assert families == {LOGLIN, NBIN, PARX}
+
+    def test_one_observation_series_forecasts(self):
+        cases = [
+            (loglin_spec(2, 2), (0.1, [0.3, 0.2], [0.2, 0.1]), {}),
+            (nbin_spec(1, 2), (1.0, [0.3], [0.1, 0.1]), {"r": 2.0}),
+            (parx_spec(2, 1), (0.5, [0.2, 0.1], [0.3]), {"gamma": [0.2, 0.1]}),
+        ]
+        for spec, args, extra in cases:
+            th = spec.params(*args, **extra)
+            cov = ((0.4, -1.2),) if spec.family == PARX else None
+            series = ObservationSeries(y=(3,), covariates=cov)
+            assert series.n == 0
+            z = default_initial_window(spec, series)
+            obs = list(zip(series.y, cov)) if cov else list(series.y)
+            dist = forecast_one_step(spec, th, z, series)
+            assert dist == predictive(spec, th, iterate_latent(spec, th, z, obs))
+            assert math.isfinite(dist.mean) and dist.mean > 0.0
 
 
 class TestEmbedStep:
