@@ -20,7 +20,6 @@ from .conditions import (
 )
 from .families import (
     PredictiveDistribution,
-    features,
     log_density,
     parx_covariate_step,
     predictive,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .model import LOGLIN, NBIN, PARX, DomainError, ModelSpec, ParameterVector
 
@@ -78,6 +77,7 @@ class PredictiveDistribution:
 
     def quantile(self, prob: float) -> int:
         """Smallest y with CDF(y) >= prob."""
+        from scipy import stats  # slow to import, and only the forecast needs it
         if self.kind == "poisson":
             return int(stats.poisson.ppf(prob, self.mean))
         x = self.mean / self.r
@@ -125,14 +125,18 @@ def log_density(spec: ModelSpec, theta: ParameterVector, x: float, y: int) -> fl
     return -x + y * math.log(x) - lnfact(y)
 
 
-def covariate_log_density(spec: ModelSpec, xi_prev, xi_next) -> float:
-    """Gaussian VAR(1) transition log-density of the PARX covariates."""
+def covariate_log_density(spec: ModelSpec, xi_prev, xi_next):
+    """Gaussian VAR(1) transition log-density of the PARX covariates.
+
+    Rows broadcast: two covariate vectors give a float, two (m, r) arrays m values.
+    """
     if spec.family != PARX:
         raise DomainError("covariate density is defined for PARX only")
     cfg = spec.parx
-    resid = np.asarray(xi_next, dtype=float) - cfg.aleph_matrix() @ np.asarray(xi_prev, dtype=float)
+    resid = np.subtract(xi_next, np.asarray(xi_prev, dtype=float) @ cfg.aleph_matrix().T)
     s2 = cfg.sigma * cfg.sigma
-    return -0.5 * cfg.r_dim * math.log(2.0 * math.pi * s2) - float(resid @ resid) / (2.0 * s2)
+    out = -0.5 * cfg.r_dim * math.log(2.0 * math.pi * s2) - np.square(resid).sum(-1) / (2.0 * s2)
+    return float(out) if out.ndim == 0 else out
 
 
 def sample_observation(spec: ModelSpec, theta: ParameterVector, x, rng: np.random.Generator):
@@ -176,13 +180,6 @@ def parx_covariate_step(spec: ModelSpec, xi, rng: np.random.Generator) -> tuple[
         raise DomainError(f"covariate vector must have length {cfg.r_dim}")
     nxt = cfg.aleph_matrix() @ xi + cfg.sigma * rng.standard_normal(cfg.r_dim)
     return tuple(float(v) for v in nxt)
-
-
-def features(spec: ModelSpec, xi) -> tuple[float, ...]:
-    """Evaluate the configured nonnegative covariate features at ``xi``."""
-    if spec.family != PARX:
-        raise DomainError("features are defined for PARX only")
-    return spec.parx.feature_values(tuple(float(v) for v in xi))
 
 
 def predictive(spec: ModelSpec, theta: ParameterVector, x) -> PredictiveDistribution:

@@ -11,8 +11,9 @@ The search evaluates the likelihood's vectorized kernel, which agrees with
 the sequential pass to rounding.  Each start's final point is then
 re-evaluated once by the exact sequential pass; those values rank the
 starts, and the winner's is reported, so the reported log-likelihood equals
-:func:`loglik` at the estimate bit for bit.  The forecast runs the same
-sequential recursion over the prepared data.
+:func:`loglik` at the estimate bit for bit.  The search and the re-ranking
+share one prepared form of the series; the forecast runs the same
+sequential recursion over its own.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .families import PredictiveDistribution, predictive
 from .likelihood import (
     GradientUndefinedError,
     LikelihoodValue,
-    _design,
     _kernel,
     _loglik_prepared,
     _prepare,
@@ -42,7 +42,6 @@ from .model import (
     ModelSpec,
     ObservationSeries,
     ParameterVector,
-    _latent_path,
     default_initial_window,
     iterate_latent,  # unused here; bench/tracing.py wraps odmlab.fit.iterate_latent
     pack_params,
@@ -395,7 +394,6 @@ def fit_mle(
     active = upper > lower
     base = box.center()
     prep = _prepare(spec, z_init, series)
-    des = _design(spec, prep)
 
     def expand(v_active: np.ndarray) -> np.ndarray:
         full = base.copy()
@@ -405,9 +403,8 @@ def fit_mle(
     def clip(full: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(full, lower), upper)
 
-    def objective_full(full: np.ndarray) -> float:
-        total = _kernel(des, clip(full))[0]
-        return -total / des.n if math.isfinite(total) else math.inf
+    def objective_full(full: np.ndarray) -> float:  # the kernel's total is finite or -inf
+        return -_kernel(prep, clip(full))[0] / prep.n
 
     # Start list: center, data-informed, quasi-random, then user extras.  The
     # quasi-random block is a Halton set under a seeded rotation (the start
@@ -453,7 +450,7 @@ def fit_mle(
             if opts.polish and math.isfinite(fb):
                 xb, _, polish_status = _projected_gradient(
                     lambda v: -objective_full(expand(v)),
-                    lambda v: _kernel(des, clip(expand(v)), grad=True)[1][active],
+                    lambda v: _kernel(prep, clip(expand(v)), grad=True)[1][active],
                     xb,
                     lo_a,
                     hi_a,
@@ -513,6 +510,6 @@ def forecast_one_step(
     one observation (n = 0) forecasts too.
     """
     validate_params(spec, theta)
-    prep = _prepare(spec, z_init, series)
-    x_next = _latent_path(theta, prep.xw0, prep.uw0, prep.u, prep.feats)[-1]
+    prep = _prepare(spec, z_init, series, min_n=0)
+    x_next = prep.latent_path(theta, prep.n + 1)[-1]
     return predictive(spec, theta, x_next)

@@ -11,9 +11,10 @@ recomputation to 1e-12 absolute on explosive log-linear totals (up to 1e96).
 A private vectorized kernel solves the system with LAPACK ``dtbtrs`` and
 gets the gradient from one transposed solve for the adjoint weights; the
 optimizer and :func:`grad_loglik` use it, and its value agrees with
-:func:`loglik` to rounding.  Both cost O(n * (p + q)).  Private prepared
-forms of (series, initial window) let the optimizer and the forecast reuse
-the reduced data.
+:func:`loglik` to rounding.  Both cost O(n * (p + q)).  One private
+prepared form of (series, initial window), numpy arrays built with no loop
+over the observations, feeds the sequential pass, the kernel and the
+forecast, so a fit reduces its data once.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .model import (
     ModelSpec,
     ObservationSeries,
     ParameterVector,
+    _feature_value,
     _latent_path,
     check_series,
     pack_params,
@@ -73,79 +75,67 @@ class LikelihoodValue:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """Reduced data and seed buffers, independent of the parameter point."""
+    """A series and its initial window, reduced once for every parameter point.
 
-    n: int
-    y: tuple[int, ...]
-    u: tuple[float, ...]  # reduced observations; PARX: the counts
-    feats: Optional[tuple[tuple[float, ...], ...]]  # PARX feature rows
-    lnf: tuple[float, ...]  # ln(y_k!) for k = 1..n
-    xw0: tuple[float, ...]
-    uw0: tuple[float, ...]
-    covariates: Optional[tuple[tuple[float, ...], ...]]
-
-
-def _prepare(spec: ModelSpec, z_init: LatentWindow, series: ObservationSeries) -> _Prepared:
-    validate_window(spec, z_init)
-    check_series(spec, series)
-    n = series.n
-    y = tuple(int(v) for v in series.y)
-    cache: dict[int, float] = {}
-    for v in y:
-        if v not in cache:
-            cache[v] = lnfact(v)
-    lnf = tuple(cache[v] for v in y[1:])
-    if spec.family == LOGLIN:
-        u = tuple(math.log1p(v) for v in y)
-    else:
-        u = tuple(float(v) for v in y)
-    if spec.family == PARX:
-        feats = tuple(spec.parx.feature_values(row) for row in series.covariates)
-        xw0 = tuple(e[0] for e in z_init.x)
-        uw0 = tuple(e[0] for e in z_init.u)
-        return _Prepared(n, y, u, feats, lnf, xw0, uw0, series.covariates)
-    return _Prepared(n, y, u, None, lnf, tuple(z_init.x), tuple(z_init.u), None)
-
-
-def _require_terms(n: int) -> None:
-    if n < 1:
-        raise ValueError("need at least two observations (n >= 1 likelihood terms)")
-
-
-@dataclass(frozen=True)
-class _Design:
-    """The vectorized kernel's arrays for one prepared series."""
+    numpy builds it with no loop over the observations.  The kernel reads the
+    arrays; the sequential pass and the forecast read ``.tolist()`` views.
+    """
 
     n: int
     p: int
     family: str
+    y: np.ndarray  # y_1..y_n
+    u: np.ndarray  # reduced observations u_0..u_n; PARX: the counts
+    feats: Optional[np.ndarray]  # PARX feature rows f_0..f_n
+    lnf: np.ndarray  # ln(y_k!) for k = 1..n
+    lnf_sum: float
+    counts: Optional[tuple[np.ndarray, np.ndarray]]  # NBIN: distinct y_k, multiplicities
+    xw0: tuple[float, ...]
+    uw0: tuple[float, ...]
+    covariates: Optional[np.ndarray]  # PARX: xi_0..xi_n
     # (n, dim): row k - 1 is d_k's coefficient on each packed parameter:
     # 1 | x_{k-i} from the initial window, else 0 | u_{k-j} | 0 (NBIN r) | f_{k-1}
     matrix: np.ndarray
-    y: np.ndarray  # y_1..y_n
-    lnf_sum: float
-    counts: Optional[tuple[np.ndarray, np.ndarray]]  # NBIN: distinct y_k, multiplicities
+
+    def latent_path(self, theta: ParameterVector, m: int) -> list:
+        """x_1..x_m by the sequential recursion, for m <= n + 1."""
+        f = None if self.feats is None else self.feats[:m].tolist()
+        return _latent_path(theta, self.xw0, self.uw0, self.u[:m].tolist(), f)
 
 
-def _design(spec: ModelSpec, prep: _Prepared) -> _Design:
-    n, p, q = prep.n, spec.p, spec.q
-    _require_terms(n)
-    matrix = np.zeros((n, 1 + p + q + (spec.family == NBIN)))
-    matrix[:, 0] = 1.0
-    for k in range(1, min(p, n) + 1):
-        for i in range(k, p + 1):
-            matrix[k - 1, i] = prep.xw0[k - i - 1]
-    ext = np.array(prep.uw0 + prep.u[:n])  # u_{1-q}..u_{n-1}
-    for j in range(1, q + 1):
-        matrix[:, p + j] = ext[q - j : q - j + n]
-    if prep.feats is not None:
-        matrix = np.hstack((matrix, prep.feats[:n]))
-    y = np.array(prep.y[1:], dtype=float)
+def _prepare(
+    spec: ModelSpec, z_init: LatentWindow, series: ObservationSeries, min_n: int = 1
+) -> _Prepared:
+    validate_window(spec, z_init)
+    check_series(spec, series)
+    n, p, q, fam = series.n, spec.p, spec.q, spec.family
+    if n < min_n:  # the forecast alone takes n = 0
+        raise ValueError("need at least two observations (n >= 1 likelihood terms)")
+    # ln y! and the loglin u once per distinct count; u by math.log1p, which
+    # np.log1p does not match bit for bit
+    vals, inv = np.unique(np.asarray(series.y, dtype=float), return_inverse=True)
+    u = np.array([math.log1p(v) for v in vals.tolist()])[inv] if fam == LOGLIN else vals[inv]
+    lnf = np.array([lnfact(int(v)) for v in vals.tolist()])[inv[1:]]
     counts = None
-    if spec.family == NBIN:
-        vals, mult = np.unique(y, return_counts=True)
-        counts = (vals, mult.astype(float))
-    return _Design(n, p, spec.family, matrix, y, math.fsum(prep.lnf), counts)
+    if fam == NBIN:  # over y_1..y_n: a y_0 that does not recur gets no entry
+        mult = np.bincount(inv[1:], minlength=vals.size)
+        counts = (vals[mult > 0], mult[mult > 0].astype(float))
+    xw0, uw0, feats, cov = tuple(z_init.x), tuple(z_init.u), None, None
+    if fam == PARX:
+        cov = np.asarray(series.covariates, dtype=float)
+        feats = np.column_stack(list(map(_feature_value, spec.parx.feature_kinds, cov.T)))
+        xw0, uw0 = tuple(e[0] for e in xw0), tuple(e[0] for e in uw0)
+    xext = np.concatenate((np.asarray(xw0, dtype=float), np.zeros(n)))  # x_{1-p}..x_0, 0, ...
+    uext = np.concatenate((np.asarray(uw0, dtype=float), u[:n]))  # u_{1-q}..u_{n-1}
+    columns = [np.ones(n)] + [xext[p - i : p - i + n] for i in range(1, p + 1)]
+    columns += [uext[q - j : q - j + n] for j in range(1, q + 1)]
+    if fam == NBIN:
+        columns.append(np.zeros(n))
+    if feats is not None:
+        columns.append(feats[:n])
+    matrix = np.column_stack(columns)
+    y, lnf_sum = vals[inv[1:]], math.fsum(lnf.tolist())
+    return _Prepared(n, p, fam, y, u, feats, lnf, lnf_sum, counts, xw0, uw0, cov, matrix)
 
 
 def _loglik_prepared(
@@ -155,10 +145,9 @@ def _loglik_prepared(
     keep_path: bool,
     include_covariate_density: bool,
 ) -> LikelihoodValue:
-    n, lnf = prep.n, prep.lnf
-    _require_terms(n)
-    xs = _latent_path(theta, prep.xw0, prep.uw0, prep.u[:n], prep.feats)
-    ys = prep.y[1:]
+    n = prep.n
+    xs = prep.latent_path(theta, n)
+    ys, lnf = prep.y.tolist(), prep.lnf.tolist()
     terms = []
     add = terms.append
     clamped = first_clamped = 0
@@ -178,7 +167,8 @@ def _loglik_prepared(
         lgamma_r = math.lgamma(r)
         # Per distinct count: lgamma(r + y) - ln y! - lgamma(r), associated
         # exactly as in families.log_density.
-        head = {v: math.lgamma(r + v) - lnfact(v) - lgamma_r for v in set(ys)}
+        vals = prep.counts[0].tolist()
+        head = {v: math.lgamma(r + v) - lnfact(int(v)) - lgamma_r for v in vals}
         for x, yk in zip(xs, ys):
             if 0.0 < x < inf:
                 l1 = log1p(x)
@@ -191,16 +181,13 @@ def _loglik_prepared(
                 add(-x + yk * log(x) - lf)
             else:
                 add(0.0 if x == 0.0 and yk == 0 else -inf)
-        if include_covariate_density:
-            cov = prep.covariates
-            terms = [
-                t + covariate_log_density(spec, cov[k], cov[k + 1]) for k, t in enumerate(terms)
-            ]
 
-    # np.cumsum adds in order, so its last entry is the sequential sum
     values = np.array(terms)
+    if include_covariate_density:
+        values += covariate_log_density(spec, prep.covariates[:-1], prep.covariates[1:])
     finite = np.isfinite(values)
     bad = None if finite.all() else int(finite.argmin()) + 1
+    # np.cumsum adds in order, so its last entry is the sequential sum
     total = -inf if bad else float(np.cumsum(values)[-1])
     if clamped:
         warnings.warn(
@@ -213,7 +200,7 @@ def _loglik_prepared(
         normalized=total / n,
         total=total,
         n=n,
-        per_term=tuple(terms[:bad]) if keep_path else None,
+        per_term=tuple(values[:bad].tolist()) if keep_path else None,
         latent_path=(prep.xw0[-1], *xs) if keep_path else None,
         bad_term=bad,
         clamped=clamped,
@@ -242,7 +229,7 @@ def loglik(
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing sum reads as -inf, like the loop
-def _kernel(des: _Design, vec: np.ndarray, grad: bool = False):
+def _kernel(prep: _Prepared, vec: np.ndarray, grad: bool = False):
     """Vectorized (total, gradient) at the packed point ``vec``.
 
     The total is -inf where it is not finite.  The gradient is that of the
@@ -252,24 +239,24 @@ def _kernel(des: _Design, vec: np.ndarray, grad: bool = False):
     clamped log-linear latent, or a latent that is not positive and finite
     for NBIN and PARX) ``grad`` raises ``GradientUndefinedError``.
     """
-    n, p, fam, y = des.n, des.p, des.family, des.y
+    n, p, fam, y = prep.n, prep.p, prep.family, prep.y
     ab = np.empty((n, p + 1)).T  # Fortran-ordered band: row i holds -a_i
     ab[1:] = -vec[1 : 1 + p, None]
-    x = dtbtrs(ab, des.matrix @ vec, uplo="L", diag="U")[0]
+    x = dtbtrs(ab, prep.matrix @ vec, uplo="L", diag="U")[0]
     if fam == LOGLIN:
         xc = np.minimum(np.maximum(x, CLAMP_LO), CLAMP_HI)
         mean = np.exp(xc)
         total = y.dot(xc) - mean.sum()
     elif fam == NBIN:
         r = vec[-1]
-        vals, mult = des.counts
+        vals, mult = prep.counts
         l1 = np.log1p(x)
         total = mult.dot(gammaln(r + vals)) - n * gammaln(r) - r * l1.sum() + y.dot(np.log(x) - l1)
     else:
         total = y.dot(np.log(x)) - x.sum()
     # The family constraints keep NBIN and PARX latents >= omega > 0, so a
     # latent outside the density's domain is non-finite and so is the total.
-    total = float(total) - des.lnf_sum
+    total = float(total) - prep.lnf_sum
     if not math.isfinite(total):
         total = -math.inf
     if not grad:
@@ -287,7 +274,7 @@ def _kernel(des: _Design, vec: np.ndarray, grad: bool = False):
     else:
         dens = y / x - 1.0
     lam = dtbtrs(ab, dens, uplo="L", trans="T", diag="U")[0]
-    g = lam @ des.matrix
+    g = lam @ prep.matrix
     for i in range(1, min(p, n - 1) + 1):  # the a-columns' part on the path
         g[i] += lam[i:] @ x[: n - i]
     if fam == NBIN:
@@ -309,8 +296,7 @@ def grad_loglik(
     per-term density derivative.
     """
     validate_params(spec, theta)
-    des = _design(spec, _prepare(spec, z_init, series))
-    return _kernel(des, pack_params(spec, theta), grad=True)[1]
+    return _kernel(_prepare(spec, z_init, series), pack_params(spec, theta), grad=True)[1]
 
 
 def finite_diff_grad(

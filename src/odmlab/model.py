@@ -62,13 +62,14 @@ class ModelOrder:
             raise ValueError(f"order must satisfy p >= 1 and q >= 1, got ({self.p}, {self.q})")
 
 
-def _feature_value(kind: str, v: float) -> float:
+def _feature_value(kind: str, v):
+    # v is a float or a numpy column (np.where is slow on a float); pos_part maps -0.0, NaN to 0.0
     if kind == "square":
         return v * v
     if kind == "abs":
         return abs(v)
     if kind == "pos_part":
-        return v if v > 0.0 else 0.0
+        return np.where(v > 0.0, v, 0.0) if isinstance(v, np.ndarray) else (v if v > 0.0 else 0.0)
     raise ValueError(f"unknown feature kind {kind!r}")
 
 
@@ -122,7 +123,7 @@ class ParxConfig:
     def feature_values(self, xi: Sequence[float]) -> tuple[float, ...]:
         if len(xi) != self.r_dim:
             raise DomainError(f"covariate vector has length {len(xi)}, expected {self.r_dim}")
-        return tuple(_feature_value(k, float(xi[j])) for j, k in enumerate(self.feature_kinds))
+        return tuple(_feature_value(k, float(v)) for k, v in zip(self.feature_kinds, xi))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from odmlab.families import (
     ClampWarning,
     PredictiveDistribution,
     covariate_log_density,
-    features,
     log_density,
     lnfact,
     parx_covariate_step,
@@ -17,12 +16,14 @@ from odmlab.families import (
     sample_observation,
 )
 from odmlab.model import (
+    FEATURE_KINDS,
     LOGLIN,
     NBIN,
     DomainError,
     ModelOrder,
     ModelSpec,
     ParxConfig,
+    _feature_value,
 )
 
 import oracles
@@ -181,12 +182,47 @@ class TestCovariates:
         expected = -0.5 * math.log(2.0 * math.pi * 0.8**2)
         assert covariate_log_density(spec, (0.0,), (0.0,)) == pytest.approx(expected)
 
+    def test_covariate_log_density_rows(self):
+        # rows broadcast: m transitions at once; a single pair gives a float;
+        # both against the VAR(1) density written out, with a non-symmetric aleph
+        rng = np.random.default_rng(9)
+        for r_dim in (1, 2, 3):
+            aleph = (rng.uniform(-0.3, 0.3, (r_dim, r_dim)) / r_dim).tolist()
+            cfg = ParxConfig(r_dim, ("abs",), tuple(map(tuple, aleph)), sigma=0.8)
+            spec = ModelSpec(family="parx", order=ModelOrder(1, 1), parx=cfg)
+            xi = rng.normal(0.0, 1.0, (30, r_dim))
+            expected, s2 = [], 0.8 * 0.8
+            for prev, nxt in zip(xi[:-1].tolist(), xi[1:].tolist()):
+                resid = [nxt[i] - sum(aleph[i][j] * prev[j] for j in range(r_dim))
+                         for i in range(r_dim)]
+                expected.append(-0.5 * r_dim * math.log(2.0 * math.pi * s2)
+                                - sum(v * v for v in resid) / (2.0 * s2))
+            rows = covariate_log_density(spec, xi[:-1], xi[1:])
+            single = [covariate_log_density(spec, xi[k], xi[k + 1]) for k in range(29)]
+            assert rows.shape == (29,)
+            assert all(type(v) is float for v in single)
+            if r_dim == 1:
+                assert rows.tolist() == single == expected
+            else:
+                assert rows == pytest.approx(expected, rel=1e-13)
+                assert single == pytest.approx(expected, rel=1e-13)
+
 
 class TestFeatures:
     def test_kinds(self):
-        assert features(parx_spec(kinds=("square",), r_dim=1), (-2.0,)) == (4.0,)
-        assert features(parx_spec(kinds=("abs",), r_dim=1), (-2.0,)) == (2.0,)
-        assert features(parx_spec(kinds=("pos_part",), r_dim=1), (-2.0,)) == (0.0,)
+        assert parx_spec(kinds=("square",), r_dim=1).parx.feature_values((-2.0,)) == (4.0,)
+        assert parx_spec(kinds=("abs",), r_dim=1).parx.feature_values((-2.0,)) == (2.0,)
+        assert parx_spec(kinds=("pos_part",), r_dim=1).parx.feature_values((-2.0,)) == (0.0,)
+        # the column form, as a prepared series builds it, equals the scalar
+        # form bit for bit, signed zero and NaN included
+        col = np.array([-0.0, math.nan, -2.0, 1.5])
+        assert list(map(repr, _feature_value("pos_part", col).tolist())) == [
+            "0.0", "0.0", "0.0", "1.5"
+        ]
+        for kind in FEATURE_KINDS:
+            cfg = parx_spec(kinds=(kind,), r_dim=1).parx
+            scalar = [cfg.feature_values((v,))[0] for v in col.tolist()]
+            assert list(map(repr, _feature_value(kind, col).tolist())) == list(map(repr, scalar))
 
     def test_too_many_features_is_config_error(self):
         with pytest.raises(ValueError):
@@ -196,7 +232,7 @@ class TestFeatures:
         rng = np.random.default_rng(2)
         spec = parx_spec(kinds=("square", "pos_part"), r_dim=2)
         for _ in range(100):
-            out = features(spec, rng.normal(0.0, 3.0, 2))
+            out = spec.parx.feature_values(rng.normal(0.0, 3.0, 2))
             assert all(v >= 0 for v in out)
 
 

@@ -5,11 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from odmlab.families import CLAMP_HI, CLAMP_LO, ClampWarning, log_density
+from odmlab.families import CLAMP_HI, CLAMP_LO, ClampWarning, lnfact, log_density
 from odmlab.fit import FitOptions, default_box, fit_mle
 from odmlab.likelihood import (
     GradientUndefinedError,
-    _design,
     _kernel,
     _loglik_prepared,
     _prepare,
@@ -30,7 +29,7 @@ from odmlab.model import (
 from odmlab.simulate import SimConfig, simulate_series
 
 import oracles
-from test_model import loglin_spec, nbin_spec, parx_spec
+from test_model import loglin_spec, nbin_spec, oracle_instances, parx_spec
 
 
 def zero_window(spec):
@@ -234,6 +233,30 @@ def random_point(spec, rng):
                        gamma=rng.uniform(0.0, 0.5, spec.parx.d))
 
 
+class TestPrepared:
+    """The one prepared form against the oracles' per-element reductions."""
+
+    def test_reductions_match_oracle_elementwise(self):
+        for spec, th, z, series, obs, path in oracle_instances():
+            # y_0 does not recur; 300 takes lnfact's lgamma branch; 3.0 is a
+            # float count
+            y = (999,) + series.y[1:-2] + (300, 3.0)
+            series = ObservationSeries(y=y, covariates=series.covariates)
+            n = series.n
+            prep = _prepare(spec, z, series)
+            _, us, feats = oracles.attach_series(spec, z, series)
+            assert prep.u.tolist() == [us[t] for t in range(n + 1)]
+            assert prep.y.tolist() == [float(v) for v in y[1:]]
+            assert prep.lnf.tolist() == [lnfact(int(v)) for v in y[1:]]
+            if spec.family == PARX:
+                assert prep.feats.tolist() == [list(feats[t]) for t in range(n + 1)]
+            if spec.family == NBIN:
+                vals, mult = prep.counts
+                distinct = sorted(set(y[1:]))
+                assert vals.tolist() == distinct
+                assert mult.tolist() == [y[1:].count(v) for v in distinct]
+
+
 class TestKernel:
     """The vectorized kernel against the sequential pass and central differences."""
 
@@ -246,7 +269,7 @@ class TestKernel:
             series = oracles.random_series(spec, rng, n)
             z = oracles.random_window(spec, rng)  # non-constant: every lag distinct
             prep = _prepare(spec, z, series)
-            total, g = _kernel(_design(spec, prep), pack_params(spec, th), grad=True)
+            total, g = _kernel(prep, pack_params(spec, th), grad=True)
             ref = _loglik_prepared(spec, th, prep, False, False).total
             assert abs(total - ref) <= 1e-12 * abs(ref)
             fd = finite_diff_grad(spec, th, z, series)
@@ -278,7 +301,7 @@ class TestKernel:
             undefined = [not CLAMP_LO <= x <= CLAMP_HI for x in val.latent_path[1:]]
         else:
             undefined = [not (x > 0.0 and math.isfinite(x)) for x in val.latent_path[1:]]
-        total = _kernel(_design(spec, _prepare(spec, z, series)), pack_params(spec, th))[0]
+        total = _kernel(_prepare(spec, z, series), pack_params(spec, th))[0]
         if not any(undefined):
             assert total == pytest.approx(val.total, rel=1e-12)
             grad_loglik(spec, th, z, series)
