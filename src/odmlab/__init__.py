@@ -21,7 +21,6 @@ from .conditions import (
 from .families import (
     PredictiveDistribution,
     log_density,
-    parx_covariate_step,
     predictive,
     sample_observation,
 )

@@ -139,47 +139,60 @@ def covariate_log_density(spec: ModelSpec, xi_prev, xi_next):
     return float(out) if out.ndim == 0 else out
 
 
+def bind_sampler(spec: ModelSpec, theta: ParameterVector, rng: np.random.Generator):
+    """The family's count draw at latent ``x``, bound once to (spec, theta, rng).
+
+    The returned function maps ``x`` to one count and raises ``DomainError``
+    outside the family's domain.  Each call draws from ``rng`` in a fixed
+    order: NBIN draws gamma, then poisson (the gamma-Poisson mixture, so the
+    shape may be any positive real, and no gamma at x = 0); the Poisson
+    families draw poisson only.
+    """
+    poisson = rng.poisson
+    if spec.family == LOGLIN:
+        exp = math.exp
+
+        def draw(x):
+            if x > CLAMP_HI:
+                raise DomainError(
+                    f"latent {x:.6g} gives Poisson mean e^x beyond double range; "
+                    "run the stability check on these parameters"
+                )
+            mean = exp(x)
+            if mean > 4.0e18:  # sampler rejects larger means
+                raise DomainError(
+                    f"latent {x:.6g} gives Poisson mean {mean:.3g} beyond the sampler range; "
+                    "run the stability check on these parameters"
+                )
+            return int(poisson(mean))
+
+    elif spec.family == NBIN:
+        gamma, r = rng.gamma, theta.r
+
+        def draw(x):
+            if x < 0.0:
+                raise DomainError(f"NBIN latent must be >= 0, got {x}")
+            return int(poisson(gamma(r, x) if x > 0.0 else 0.0))
+
+    else:
+
+        def draw(x):
+            if x < 0.0:
+                raise DomainError(f"PARX intensity must be >= 0, got {x}")
+            return int(poisson(x))
+
+    return draw
+
+
 def sample_observation(spec: ModelSpec, theta: ParameterVector, x, rng: np.random.Generator):
     """Draw one count from the observation kernel at latent ``x``.
 
-    Deterministic given the generator state.  NBIN draws through the
-    gamma-Poisson mixture so that the shape parameter may be any positive
-    real.  For PARX, ``x`` is the intensity component and the returned value
-    is the count only (covariates evolve via :func:`parx_covariate_step`).
+    Deterministic given the generator state; see :func:`bind_sampler` for
+    the draw rules.  For PARX, ``x`` is the intensity component and the
+    returned value is the count only: the covariates do not depend on the
+    counts, and the simulator draws their path up front.
     """
-    if spec.family == LOGLIN:
-        if x > CLAMP_HI:
-            raise DomainError(
-                f"latent {x:.6g} gives Poisson mean e^x beyond double range; "
-                "run the stability check on these parameters"
-            )
-        mean = math.exp(x)
-        if mean > 4.0e18:  # sampler rejects larger means
-            raise DomainError(
-                f"latent {x:.6g} gives Poisson mean {mean:.3g} beyond the sampler range; "
-                "run the stability check on these parameters"
-            )
-        return int(rng.poisson(mean))
-    if spec.family == NBIN:
-        if x < 0.0:
-            raise DomainError(f"NBIN latent must be >= 0, got {x}")
-        lam = rng.gamma(theta.r, x) if x > 0.0 else 0.0
-        return int(rng.poisson(lam))
-    if x < 0.0:
-        raise DomainError(f"PARX intensity must be >= 0, got {x}")
-    return int(rng.poisson(x))
-
-
-def parx_covariate_step(spec: ModelSpec, xi, rng: np.random.Generator) -> tuple[float, ...]:
-    """One VAR(1) covariate transition: aleph @ xi + sigma * N(0, I)."""
-    if spec.family != PARX:
-        raise DomainError("covariate step is defined for PARX only")
-    cfg = spec.parx
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (cfg.r_dim,):
-        raise DomainError(f"covariate vector must have length {cfg.r_dim}")
-    nxt = cfg.aleph_matrix() @ xi + cfg.sigma * rng.standard_normal(cfg.r_dim)
-    return tuple(float(v) for v in nxt)
+    return bind_sampler(spec, theta, rng)(x)
 
 
 def predictive(spec: ModelSpec, theta: ParameterVector, x) -> PredictiveDistribution:

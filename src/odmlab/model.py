@@ -282,9 +282,12 @@ class ObservationSeries:
     def __post_init__(self):
         if len(self.y) < 1:
             raise ValueError("series must contain at least one observation")
-        for v in self.y:
-            if v < 0 or v != int(v):
-                raise DomainError(f"counts must be nonnegative integers, got {v!r}")
+        try:
+            for v in self.y:
+                if v < 0 or v != int(v):
+                    raise DomainError(f"counts must be nonnegative integers, got {v!r}")
+        except (ValueError, OverflowError):  # also int() of NaN or inf
+            raise DomainError(f"counts must be nonnegative integers, got {v!r}") from None
         if self.covariates is not None and len(self.covariates) != len(self.y):
             raise ValueError(
                 f"{len(self.covariates)} covariate rows for {len(self.y)} observations"

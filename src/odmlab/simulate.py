@@ -4,6 +4,12 @@ Observation draws, covariate noise, and start jitter each use an independent
 named substream of the master seed, so the PARX covariate path is identical
 across count-parameter changes and replicates can be parallelized with
 derived seeds.
+
+Draw order is part of the reproducibility contract.  On the observation
+substream each step draws, in order, NBIN's gamma and then the poisson count
+(the Poisson families draw the count only).  On the covariate substream the
+noise of the whole run is one ``standard_normal((steps, r))`` block, which
+numpy fills in the order of ``steps`` sequential ``standard_normal(r)`` calls.
 """
 
 from __future__ import annotations
@@ -11,13 +17,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from . import rng as rngmod
 from .conditions import check_model
-from .families import sample_observation
+from .families import bind_sampler
 from .model import (
     LOGLIN,
     NBIN,
@@ -27,7 +35,9 @@ from .model import (
     ModelSpec,
     ObservationSeries,
     ParameterVector,
+    ParxConfig,
     _affine,
+    _feature_value,
     constant_window,
     validate_params,
     validate_window,
@@ -71,61 +81,99 @@ def default_simulation_window(spec: ModelSpec, theta: ParameterVector) -> Latent
     return constant_window(spec, theta.omega, 0, xi1=(0.0,) * spec.parx.r_dim)
 
 
+def covariate_path(cfg: ParxConfig, xi0, noise: np.ndarray) -> np.ndarray:
+    """Xi_1..Xi_m of the VAR(1) recursion Xi_t = aleph Xi_{t-1} + noise_t.
+
+    ``xi0`` is Xi_0 and row t - 1 of the (m, r) block ``noise`` is noise_t,
+    the scaled draw sigma * N(0, I).
+    """
+    aleph = cfg.aleph_matrix()
+    xi = np.asarray(xi0, dtype=float)
+    path = np.empty_like(noise)
+    for t, e in enumerate(noise):
+        xi = aleph @ xi + e
+        path[t] = xi
+    return path
+
+
+def _explosion(x: float, limit: float, t: int) -> LatentExplosionError:
+    return LatentExplosionError(
+        f"latent {x:.6g} left the safe range (limit {limit:.0e}) at step {t}; "
+        "run the stability check on these parameters"
+    )
+
+
 def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> SimResult:
     """Generate ``burn_in + n + 1`` steps and return the last ``n + 1``.
 
-    Fully determined by ``cfg.seed``.  Raises ``LatentExplosionError`` when
-    the latent leaves the safe range (|x| > 1e3 log-linear, x > 1e12
-    otherwise), which for sustained runs means the parameters fail their
-    stability condition.
+    Fully determined by ``cfg.seed``: step t draws its count from the
+    observation substream (NBIN: gamma, then poisson), and the PARX covariate
+    noise of all steps is drawn up front as one block from the covariate
+    substream.  Raises ``LatentExplosionError`` when the latent leaves the
+    safe range (|x| > 1e3 log-linear, x > 1e12 otherwise), which for
+    sustained runs means the parameters fail their stability condition.
     """
     validate_params(spec, theta)
     z0 = cfg.z_init if cfg.z_init is not None else default_simulation_window(spec, theta)
     validate_window(spec, z0)
-    obs_rng = rngmod.substream(cfg.seed, rngmod.OBSERVATION)
+    burn_in = cfg.burn_in
+    steps = burn_in + cfg.n + 1
+    draw = bind_sampler(spec, theta, rngmod.substream(cfg.seed, rngmod.OBSERVATION))
     omega, a, b, gamma = theta.omega, theta.a, theta.b, theta.gamma or ()
     loglin = spec.family == LOGLIN
     limit = EXPLOSION_LOGLIN if loglin else EXPLOSION_OTHER
+    lo = -limit if loglin else 0.0
+    log1p = math.log1p
     ys: list[int] = []
     xs: list[float] = []
-    xis: Optional[list[tuple[float, ...]]] = None
-    feats = ()
+    keep_y, keep_x = ys.append, xs.append
+    covariates = None
     if spec.family == PARX:
-        cov_rng = rngmod.substream(cfg.seed, rngmod.COVARIATE)
-        cfgx = spec.parx
-        aleph = cfgx.aleph_matrix()
-        xi = np.asarray(z0.x[-1][1], dtype=float)
-        xis = []
+        px = spec.parx
+        noise = rngmod.substream(cfg.seed, rngmod.COVARIATE).standard_normal((steps, px.r_dim))
+        cols = covariate_path(px, z0.x[-1][1], px.sigma * noise).T.tolist()
+        del noise
+        covariates = tuple(zip(*[c[burn_in:] for c in cols]))
+        feats = zip(*[map(partial(_feature_value, k), c) for k, c in zip(px.feature_kinds, cols)])
         xw = [e[0] for e in z0.x]
         uw = [e[0] for e in z0.u]
     else:
+        feats = repeat(())
         xw = list(z0.x)
         uw = list(z0.u)
-    for t in range(cfg.burn_in + cfg.n + 1):
+    if len(a) == len(b) == 1 and not gamma:
+        # _affine's additions in _affine's order, inlined, as in _latent_path
+        a1, b1 = a[0], b[0]
         x = xw[-1]
-        bad = (abs(x) > limit) if loglin else (not 0.0 <= x <= limit)
-        if bad or not math.isfinite(x):
-            raise LatentExplosionError(
-                f"latent {x:.6g} left the safe range (limit {limit:.0e}) at step {t}; "
-                "run the stability check on these parameters"
-            )
-        try:
-            y = sample_observation(spec, theta, x, obs_rng)
-        except DomainError as exc:
-            raise LatentExplosionError(f"at step {t}: {exc}") from exc
-        if xis is not None:
-            xi = aleph @ xi + cfgx.sigma * cov_rng.standard_normal(cfgx.r_dim)
-            feats = cfgx.feature_values(xi)
-        if t >= cfg.burn_in:
-            ys.append(y)
-            xs.append(x)
-            if xis is not None:
-                xis.append(tuple(float(v) for v in xi))
-        uw.append(math.log1p(y) if loglin else float(y))
-        xw.append(_affine(omega, a, b, xw, uw, gamma, feats))
-        del xw[0]
-        del uw[0]
-    series = ObservationSeries(y=tuple(ys), covariates=None if xis is None else tuple(xis))
+        for t in range(steps):
+            if not lo <= x <= limit:
+                raise _explosion(x, limit, t)
+            try:
+                y = draw(x)
+            except DomainError as exc:
+                raise LatentExplosionError(f"at step {t}: {exc}") from exc
+            if t >= burn_in:
+                keep_y(y)
+                keep_x(x)
+            x = omega + a1 * x + b1 * (log1p(y) if loglin else y)
+    else:
+        step, observe = xw.append, uw.append
+        for t, f in zip(range(steps), feats):
+            x = xw[-1]
+            if not lo <= x <= limit:
+                raise _explosion(x, limit, t)
+            try:
+                y = draw(x)
+            except DomainError as exc:
+                raise LatentExplosionError(f"at step {t}: {exc}") from exc
+            if t >= burn_in:
+                keep_y(y)
+                keep_x(x)
+            observe(log1p(y) if loglin else y)
+            step(_affine(omega, a, b, xw, uw, gamma, f))
+            del xw[0]
+            del uw[0]
+    series = ObservationSeries(y=tuple(ys), covariates=covariates)
     return SimResult(series=series, latents=tuple(xs), seed=cfg.seed)
 
 

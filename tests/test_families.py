@@ -11,7 +11,6 @@ from odmlab.families import (
     covariate_log_density,
     log_density,
     lnfact,
-    parx_covariate_step,
     predictive,
     sample_observation,
 )
@@ -25,6 +24,7 @@ from odmlab.model import (
     ParxConfig,
     _feature_value,
 )
+from odmlab.simulate import covariate_path
 
 import oracles
 from test_model import loglin_spec, nbin_spec, parx_spec
@@ -146,18 +146,12 @@ class TestSampling:
 class TestCovariates:
     def test_zero_noise_linear_map(self):
         spec = parx_spec(p=1, q=1, r_dim=2, kinds=("abs",))
-
-        class ZeroNoise:
-            def standard_normal(self, k):
-                return np.zeros(k)
-
-        out = parx_covariate_step(spec, (2.0, 2.0), ZeroNoise())
-        assert out == (0.8, 0.8)  # aleph = 0.4 I
+        out = covariate_path(spec.parx, (2.0, 2.0), np.zeros((2, 2)))
+        assert out.tolist() == [[0.8, 0.8], [0.4 * 0.8, 0.4 * 0.8]]  # aleph = 0.4 I
 
     def test_ar1_stationary_variance(self):
         rho, sigma = 0.6, 0.7
         cfg = ParxConfig(r_dim=1, feature_kinds=("abs",), aleph=((rho,),), sigma=sigma)
-        spec = ModelSpec(family="parx", order=ModelOrder(1, 1), parx=cfg)
         rng = rngmod.substream(17, 0)
         n = 10**6
         xi = (0.0,)
@@ -168,14 +162,9 @@ class TestCovariates:
         path = lfilter([sigma], [1.0, -rho], noise)
         target = sigma**2 / (1.0 - rho**2)
         assert abs(np.var(path[1000:]) - target) / target < 0.02
-        # and the step function reproduces one transition of that recursion
-        rng2 = rngmod.substream(17, 0)
-        stepped = parx_covariate_step(spec, xi, rng2)
-        assert stepped[0] == pytest.approx(rho * xi[0] + sigma * noise[0], abs=1e-12)
-
-    def test_usage_error_on_scalar_family(self):
-        with pytest.raises(DomainError):
-            parx_covariate_step(loglin_spec(), (0.0,), rngmod.substream(0, 0))
+        # and the simulator's covariate path reproduces one transition of that recursion
+        stepped = covariate_path(cfg, xi, sigma * noise[:1, None])
+        assert stepped[0, 0] == pytest.approx(rho * xi[0] + sigma * noise[0], abs=1e-12)
 
     def test_covariate_log_density_gaussian(self):
         spec = parx_spec(p=1, q=1, r_dim=1, kinds=("abs",))

@@ -324,3 +324,12 @@ class TestParamsAndWindows:
             ObservationSeries(y=(1, -2))
         with pytest.raises(ValueError):
             ObservationSeries(y=(1, 2), covariates=((0.0,),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -1, np.float64("nan")])
+    def test_series_rejects_non_counts(self, bad):
+        with pytest.raises(DomainError, match="nonnegative integers"):
+            ObservationSeries(y=(1, bad))
+
+    def test_series_accepts_integral_values(self):
+        for y in ((0, 3), (True, False), (np.int64(2), np.uint8(7)), (2.0, 0.0)):
+            assert ObservationSeries(y=y).y == y

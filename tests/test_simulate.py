@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from odmlab.model import constant_window
+from odmlab import rng as rngmod
+from odmlab.model import FEATURE_KINDS, PARX, ModelOrder, ModelSpec, ParxConfig, constant_window
 from odmlab.simulate import (
     LatentExplosionError,
     SimConfig,
@@ -143,3 +145,113 @@ def test_default_simulation_windows_are_admissible():
         z = default_simulation_window(spec, th)
         sim = simulate_series(spec, th, SimConfig(n=50, burn_in=10, seed=0, z_init=z))
         assert len(sim.series.y) == 51
+
+
+# --- pinned streams -----------------------------------------------------------
+#
+# sha256 of repr((y, covariates, latents)) for fixed seeds.  The digests were
+# computed before the simulation loop was rewritten for speed; any change to
+# the order of draws, the substreams or the arithmetic of the recursion moves
+# them, and with them every frozen seed of the acceptance criteria.
+
+
+def _parx_cfg(r_dim, kinds):
+    aleph = ((0.5,),) if r_dim == 1 else ((0.4, -0.2), (0.3, 0.1))
+    return ModelSpec(PARX, ModelOrder(1, 1), ParxConfig(r_dim, kinds, aleph, sigma=0.9))
+
+
+def _pinned_cases():
+    cases = {}
+    for p, q, burn_in in ((1, 1, 0), (2, 2, 50), (3, 1, 7)):
+        a = [0.3, 0.2, 0.1][:p]
+        b = [0.25, 0.1][:q]
+        ll, nb, px = loglin_spec(p, q), nbin_spec(p, q), parx_spec(p, q)
+        cases[f"loglin{p}{q}"] = (ll, ll.params(0.2, [-v for v in a[:1]] + a[1:], b), burn_in, None)
+        cases[f"nbin{p}{q}"] = (nb, nb.params(1.0, a, b, r=1.5), burn_in, None)
+        cases[f"parx{p}{q}"] = (px, px.params(0.5, a, b, gamma=[0.3, 0.2]), burn_in, None)
+    for kind in FEATURE_KINDS:
+        spec = _parx_cfg(1, (kind,))
+        cases[f"parx_r1_{kind}"] = (spec, spec.params(0.4, [0.3], [0.2], gamma=[0.5]), 20, None)
+    for kinds in (("pos_part", "square"), ("abs",)):
+        spec = _parx_cfg(2, kinds)
+        gamma = [0.3, 0.1][: len(kinds)]
+        cases[f"parx_r2_{'_'.join(kinds)}"] = (
+            spec, spec.params(0.4, [0.3], [0.2], gamma=gamma), 20, None
+        )
+    nb = nbin_spec(2, 2)
+    cases["nbin22_z_init"] = (
+        nb, nb.params(0.8, [0.3, 0.1], [0.2, 0.1], r=2.5), 0, constant_window(nb, 4.0, 9)
+    )
+    px = parx_spec(2, 2)
+    cases["parx22_z_init"] = (
+        px,
+        px.params(0.6, [0.2, 0.1], [0.3, 0.1], gamma=[0.2, 0.3]),
+        0,
+        constant_window(px, 2.0, 3, xi1=(0.7, -1.2)),
+    )
+    return cases
+
+
+def _stream_digest(spec, theta, burn_in, z_init, seed):
+    sim = simulate_series(spec, theta, SimConfig(n=300, burn_in=burn_in, seed=seed, z_init=z_init))
+    blob = repr((sim.series.y, sim.series.covariates, sim.latents))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+PINNED_DIGESTS = {
+    "loglin11": "e25c5c247627c75c5bbd057adbc0a97fea5dab6805afec98841e02fbc7543efd",
+    "loglin22": "e92e205d2e41ae9e1da5b65cfec7af4a961834557d4ccbfcc29a82e7d1c6ef91",
+    "loglin31": "873bd56a47f12798b4d0b534df263404449a8717f1339a0cb580c2640725d40f",
+    "nbin11": "c37bd98c0c2905d39d9cdeec361f536306ff4e1c5c25fb9185123d8c981352e7",
+    "nbin22": "d63fe0e271af5454fdbf45fb65caba9659175d60879dbd51a998bdc33d00b2cc",
+    "nbin22_z_init": "d3318214361effe040ecef551947d38ce6f0b9a6db124966e13d7012fec7c88e",
+    "nbin31": "852345c9b1e57911f7575d71ba4908add035e745e466d7a428f322d50d756141",
+    "parx11": "14ca8722eb1e332755193f4d86f99dacd14783deb8c140bed3b19883bd0559fb",
+    "parx22": "4f7b7511662075662ad748e1c834c0756a542e334d32f3793a7a96c242762367",
+    "parx22_z_init": "f55946da37216d548b0c32a9449033fc36e491f8e1ba01c889773544a97f7ecf",
+    "parx31": "a0a783415e9cc457660a192ba7daff72dafd2187e8d2cd2c9fbe943fbfb0fadd",
+    "parx_r1_abs": "5887da915c35b725ea19f9753a764819d3d1ae4a90bf8f01149210058376a47f",
+    "parx_r1_pos_part": "db6300a4ce68e36e6e8e771c5c26772c0330faddde206468fefac6e186403613",
+    "parx_r1_square": "877308b677086d8f7ca2459f78e3b6a7ecd822a35f51cf7ce219f523a5b3028a",
+    "parx_r2_abs": "eb4ca7ed8d2c04813f11e27f5ae25d1166bd7bfe306030adf96f5ae85ef2c801",
+    "parx_r2_pos_part_square": "f87e3260d21624d3472956cd44a77b070e0d8f080cfda6538d5e476b98b2a497",
+}
+LOGLIN_ERROR = (
+    "at step 5: latent 97.8067 gives Poisson mean 3e+42 beyond the sampler range; "
+    "run the stability check on these parameters"
+)
+NBIN_ERROR = (
+    "latent 2.42076e+12 left the safe range (limit 1e+12) at step 39; "
+    "run the stability check on these parameters"
+)
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("name", sorted(_pinned_cases()))
+    def test_digest(self, name):
+        spec, theta, burn_in, z_init = _pinned_cases()[name]
+        assert _stream_digest(spec, theta, burn_in, z_init, seed=2024) == PINNED_DIGESTS[name]
+
+    def test_loglin_sampler_range_error(self):
+        spec = loglin_spec()
+        th = spec.params(1.0, [1.8], [0.9])
+        with pytest.raises(LatentExplosionError) as info:
+            simulate_series(spec, th, SimConfig(n=5000, burn_in=0, seed=1))
+        assert str(info.value) == LOGLIN_ERROR
+
+    def test_nbin_safe_range_error(self):
+        spec = nbin_spec()
+        th = spec.params(1.0, [0.9], [0.4], r=3.0)
+        with pytest.raises(LatentExplosionError) as info:
+            simulate_series(spec, th, SimConfig(n=200_000, burn_in=0, seed=1))
+        assert str(info.value) == NBIN_ERROR
+
+
+def test_block_normal_draw_equals_sequential_draws():
+    # the simulator draws the PARX covariate noise in one block; that keeps the
+    # stream only because numpy fills the block in sequential order
+    for r_dim in (1, 2, 3):
+        block = rngmod.substream(99, rngmod.COVARIATE).standard_normal((5000, r_dim))
+        rng = rngmod.substream(99, rngmod.COVARIATE)
+        rows = np.array([rng.standard_normal(r_dim) for _ in range(5000)])
+        assert np.array_equal(block, rows)
