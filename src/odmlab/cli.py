@@ -332,12 +332,23 @@ def cmd_forecast(args) -> int:
     return 0
 
 
+# the config's "fit" keys; each overrides the FitOptions default of the same name
+MC_FIT_KEYS = ("starts", "polish", "guard_override", "max_evals")
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise CliError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def cmd_mc_consistency(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read config {args.config}: {exc}") from exc
+    raw = _json_object(raw, "config")
 
     ns = argparse.Namespace(
         family=raw.get("family"),
@@ -351,7 +362,7 @@ def cmd_mc_consistency(args) -> int:
         aleph=raw.get("aleph"),
         sigma=raw.get("sigma", 1.0),
     )
-    theta_raw = raw.get("theta_star", {})
+    theta_raw = _json_object(raw.get("theta_star", {}), "config 'theta_star'")
     ns.omega = theta_raw.get("omega")
     ns.a = theta_raw.get("a")
     ns.b = theta_raw.get("b")
@@ -359,7 +370,10 @@ def cmd_mc_consistency(args) -> int:
     ns.gamma = theta_raw.get("gamma")
     if ns.family not in (LOGLIN, NBIN, PARX):
         raise CliError(f"config family must be one of {(LOGLIN, NBIN, PARX)}")
-    spec, theta_star = _build_spec_theta(ns)
+    try:
+        spec, theta_star = _build_spec_theta(ns)
+    except TypeError as exc:  # e.g. a scalar where a list belongs
+        raise CliError(f"bad model in config: {exc}") from exc
 
     sizes = args.n if args.n else raw.get("n")
     replicates = args.replicates if args.replicates is not None else raw.get("replicates")
@@ -370,15 +384,14 @@ def cmd_mc_consistency(args) -> int:
     if "box" in raw and raw["box"] is not None:
         try:
             box = make_box(spec, raw["box"]["lower"], raw["box"]["upper"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"bad box in config: {exc}") from exc
-    fit_raw = raw.get("fit", {})
-    fit_opts = FitOptions(
-        starts=int(fit_raw.get("starts", 8)),
-        polish=bool(fit_raw.get("polish", True)),
-        guard_override=bool(fit_raw.get("guard_override", False)),
-        max_evals=int(fit_raw.get("max_evals", 4000)),
-    )
+    fit_raw = _json_object(raw.get("fit", {}), "config 'fit'")
+    overrides = {key: fit_raw[key] for key in MC_FIT_KEYS if key in fit_raw}
+    try:  # each value is cast to its default's type: int for the counts, bool for the flags
+        fit_opts = FitOptions(**{k: type(getattr(FitOptions, k))(v) for k, v in overrides.items()})
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad 'fit' in config: {exc}") from exc
     try:
         config = ExperimentConfig(
             spec=spec,
@@ -388,9 +401,9 @@ def cmd_mc_consistency(args) -> int:
             seed=int(seed),
             box=box,
             fit_opts=fit_opts,
-            burn_in=int(raw.get("burn_in", 1000)),
+            burn_in=int(raw.get("burn_in", ExperimentConfig.burn_in)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from exc
 
     try:
@@ -427,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="simulate a series to CSV")
     _add_family_flags(ps)
     ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--burn-in", type=int, default=1000)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--burn-in", type=int, default=SimConfig.burn_in)
+    ps.add_argument("--seed", type=int, default=SimConfig.seed)
     ps.add_argument("--out", default=None)
     ps.add_argument("--out-dir", default=".")
     ps.add_argument("--require-stable", action="store_true")
@@ -444,9 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--data", required=True)
     pf.add_argument("--box-file", default=None)
     pf.add_argument("--pin", action="append", default=None, help="pin a coordinate, e.g. a1=0")
-    pf.add_argument("--starts", type=int, default=8)
-    pf.add_argument("--max-evals", type=int, default=4000)
-    pf.add_argument("--seed", type=int, default=0)
+    pf.add_argument("--starts", type=int, default=FitOptions.starts)
+    pf.add_argument("--max-evals", type=int, default=FitOptions.max_evals)
+    pf.add_argument("--seed", type=int, default=FitOptions.seed)
     pf.add_argument("--no-polish", action="store_true")
     pf.add_argument("--require-stable", action="store_true")
     pf.add_argument("--guard-override", action="store_true")

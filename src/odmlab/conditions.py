@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -61,14 +61,6 @@ class ConditionCheck:
     threshold: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -82,12 +74,9 @@ class ConditionReport:
         return self.verdict == "Pass"
 
     def to_dict(self) -> dict:
-        out = {
-            "verdict": self.verdict,
-            "checks": [c.to_dict() for c in self.checks],
-            "certificate_depth": self.certificate_depth,
-        }
-        out.update(self.extras)
+        """The fields, with ``extras`` merged in at the top level."""
+        out = asdict(self)
+        out.update(out.pop("extras"))
         return out
 
 
@@ -111,14 +100,14 @@ def companion_spectral_radius(c) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
-def in_unit_disk_stable(c, tol_radius: float = TOL_RADIUS) -> bool:
+def in_unit_disk_stable(c) -> bool:
     """True iff 1 - sum c_j z^j has no root in the closed unit disk.
 
     Equivalent, via z -> 1/z, to the companion matrix of
     z^k - sum c_j z^(k-j) having spectral radius strictly below 1; decided
-    with a ``tol_radius`` safety band.
+    with a ``TOL_RADIUS`` safety band.
     """
-    return companion_spectral_radius(c) < 1.0 - tol_radius
+    return companion_spectral_radius(c) < 1.0 - TOL_RADIUS
 
 
 def loglin_iterate(theta: ParameterVector, x, w) -> float:
@@ -221,7 +210,6 @@ def check_loglin(
     spec: ModelSpec,
     theta: ParameterVector,
     certificate_depth: Optional[int] = None,
-    budget: int = CERT_BUDGET,
 ) -> ConditionReport:
     """Audit a log-linear parameter point for ergodicity.
 
@@ -230,17 +218,17 @@ def check_loglin(
     closed unit disk.  Sufficient: either the coefficient bound
     ``sum_k max(|a_k|, |a_k + b_k|) < 1`` or the switched-product norm
     certificate (searched up to ``certificate_depth``, default 12 scaled
-    down to keep 2^(q + depth) within ``budget``).
+    down to keep 2^(q + depth) within the fixed budget ``CERT_BUDGET`` = 2^20).
     """
     validate_params(spec, theta)
     a, b = theta.a, theta.b
     q = len(b)
     if certificate_depth is None:
-        certificate_depth = min(DEFAULT_CERT_DEPTH, max(0, int(math.log2(budget)) - q))
-    if 2 ** (q + certificate_depth) > budget:
+        certificate_depth = min(DEFAULT_CERT_DEPTH, max(0, int(math.log2(CERT_BUDGET)) - q))
+    if 2 ** (q + certificate_depth) > CERT_BUDGET:
         raise CertificateBudgetError(
             f"certificate depth {certificate_depth} needs 2^{q + certificate_depth} "
-            f"products, over the budget of {budget}; lower the depth"
+            f"products, over the budget of {CERT_BUDGET}; lower the depth"
         )
     s, apad, bpad = _padded(a, b)
 
@@ -305,11 +293,11 @@ def check_model(spec: ModelSpec, theta: ParameterVector, **kwargs) -> ConditionR
     return check_parx(spec, theta)
 
 
-def check_identifiable(a, b, tol_root: float = TOL_ROOT) -> ConditionReport:
+def check_identifiable(a, b) -> ConditionReport:
     """No-common-root criterion for the latent and feedback polynomials.
 
     Fails when the feedback polynomial is identically zero (the criterion is
-    then vacuous) or when one of its complex roots is, within ``tol_root``
+    then vacuous) or when one of its complex roots is, within ``TOL_ROOT``
     relative scale, also a root of the latent polynomial.
     """
     a = [float(v) for v in a]
@@ -321,12 +309,12 @@ def check_identifiable(a, b, tol_root: float = TOL_ROOT) -> ConditionReport:
     roots = np.roots(b)  # feedback polynomial b1 z^(q-1) + ... + bq
     pcoef = np.array([1.0] + [-v for v in a])
     if roots.size == 0:
-        checks = (ConditionCheck("min_scaled_latent_poly_at_roots", math.inf, tol_root, True),)
+        checks = (ConditionCheck("min_scaled_latent_poly_at_roots", math.inf, TOL_ROOT, True),)
         return ConditionReport(verdict="Pass", checks=checks)
     vals = np.abs(np.polyval(pcoef, roots)) / (1.0 + np.abs(roots)) ** p
     margin = float(np.min(vals))
-    ok = margin > tol_root
-    checks = (ConditionCheck("min_scaled_latent_poly_at_roots", margin, tol_root, ok),)
+    ok = margin > TOL_ROOT
+    checks = (ConditionCheck("min_scaled_latent_poly_at_roots", margin, TOL_ROOT, ok),)
     return ConditionReport(verdict="Pass" if ok else "Fail", checks=checks)
 
 

@@ -12,7 +12,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing import Pool
 from typing import Optional
 
@@ -73,15 +73,6 @@ class ReplicateOutcome:
     converged: bool
     error: Optional[str]
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "replicate": self.replicate,
-            "theta_hat": None if self.theta_hat is None else list(self.theta_hat),
-            "converged": self.converged,
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class ConsistencyReport:
@@ -95,15 +86,9 @@ class ConsistencyReport:
     runtimes: tuple[float, ...] = ()  # wall-clock per replicate; not serialized
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "coord_names": list(self.coord_names),
-            "theta_star": list(self.theta_star),
-            "ns": list(self.ns),
-            "cells": list(self.cells),
-            "replicates": [r.to_dict() for r in self.replicates],
-            "failure_fraction": self.failure_fraction,
-        }
+        out = asdict(self)
+        del out["runtimes"]
+        return out
 
     def tsv_lines(self) -> list[str]:
         lines = ["n\tcoord\tbias\trmse\tmedae"]

@@ -19,7 +19,7 @@ sequential recursion over its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,6 +51,10 @@ from .model import (
 )
 
 _POS_FLOOR = 1e-8  # hard floor for strictly positive coordinates
+# The simplex stops when its values spread by less than TOL_VALUE and its
+# diameter is below TOL_SIMPLEX relative to 1 + the best vertex's max-norm.
+TOL_VALUE = 1e-8
+TOL_SIMPLEX = 1e-6
 
 
 class FitFailureError(RuntimeError):
@@ -74,10 +78,6 @@ class ThetaBox:
         for lo, hi in zip(self.lower, self.upper):
             if lo > hi:
                 raise ValueError(f"empty box: lower {lo} > upper {hi}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.lower)
 
     def clip(self, vec: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(vec, self.lower), self.upper)
@@ -138,8 +138,6 @@ class FitOptions:
     starts: int = 8
     extra_starts: tuple = ()  # ParameterVector candidates evaluated as extra starts
     max_evals: int = 4000
-    tol_value: float = 1e-8
-    tol_simplex: float = 1e-6
     polish: bool = True
     polish_max_iter: int = 200
     require_stability: bool = False
@@ -157,18 +155,6 @@ class StartTrace:
     converged: bool
     polish: str  # "ok" | "skipped" | "off"
     excluded: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "start_index": self.start_index,
-            "initial": list(self.initial),
-            "final": list(self.final),
-            "value": self.value,
-            "evals": self.evals,
-            "converged": self.converged,
-            "polish": self.polish,
-            "excluded": self.excluded,
-        }
 
 
 @dataclass(frozen=True)
@@ -200,11 +186,8 @@ class FitResult:
             "starts": self.starts,
             "converged": self.converged,
             "condition_report": self.condition_report.to_dict(),
-            "trace": [t.to_dict() for t in self.trace],
+            "trace": [asdict(t) for t in self.trace],
         }
-
-
-_HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _halton(index: int, base: int) -> float:
@@ -219,13 +202,23 @@ def _halton(index: int, base: int) -> float:
     return result
 
 
+def _first_primes(count: int) -> list[int]:
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
 def _quasi_random_points(dim: int, count: int) -> np.ndarray:
-    if dim > len(_HALTON_PRIMES):
-        raise ValueError(f"quasi-random starts support at most {len(_HALTON_PRIMES)} dims")
+    """The first ``count`` Halton points in ``dim`` dims, one prime base per dim."""
+    bases = _first_primes(dim)
     pts = np.empty((count, dim))
     for i in range(count):
         for j in range(dim):
-            pts[i, j] = _halton(i + 1, _HALTON_PRIMES[j])
+            pts[i, j] = _halton(i + 1, bases[j])
     return pts
 
 
@@ -254,7 +247,8 @@ def _data_informed_start(spec: ModelSpec, series: ObservationSeries, box: ThetaB
     return box.clip(np.array(vec, dtype=float))
 
 
-def _nelder_mead(fn, x0, lo, hi, tol_value, tol_x, max_evals):
+@np.errstate(invalid="ignore")  # a spread of inf - inf is NaN and fails the stopping test
+def _nelder_mead(fn, x0, lo, hi, max_evals):
     """Minimize fn over the box via the classic simplex method.
 
     Vertices are projected into the box before every evaluation.  Returns
@@ -268,26 +262,22 @@ def _nelder_mead(fn, x0, lo, hi, tol_value, tol_x, max_evals):
         evals += 1
         return fn(np.minimum(np.maximum(x, lo), hi))
 
-    sim = [x0.copy()]
-    for j in range(d):
-        step = 0.05 * (hi[j] - lo[j])
-        if not math.isfinite(step) or step == 0.0:
-            step = 0.05 * max(1.0, abs(x0[j]))
-        v = x0.copy()
-        v[j] = v[j] + step if v[j] + step <= hi[j] else v[j] - step
-        sim.append(v)
-    sim = [np.minimum(np.maximum(v, lo), hi) for v in sim]
-    fs = [f(v) for v in sim]
+    step = 0.05 * (hi - lo)
+    step = np.where(np.isfinite(step) & (step != 0.0), step, 0.05 * np.maximum(1.0, np.abs(x0)))
+    sim = np.tile(x0, (d + 1, 1))
+    diag = np.arange(d)
+    sim[diag + 1, diag] = np.where(x0 + step <= hi, x0 + step, x0 - step)
+    sim = np.minimum(np.maximum(sim, lo), hi)
+    fs = np.array([f(v) for v in sim])
 
     converged = False
     while evals < max_evals:
-        order = sorted(range(d + 1), key=lambda i: fs[i])
-        sim = [sim[i] for i in order]
-        fs = [fs[i] for i in order]
+        order = np.argsort(fs, kind="stable")
+        sim, fs = sim[order], fs[order]
         spread = fs[-1] - fs[0]
-        diam = max(float(np.max(np.abs(v - sim[0]))) for v in sim[1:]) if d else 0.0
+        diam = float(np.max(np.abs(sim[1:] - sim[0])))
         rel = 1.0 + float(np.max(np.abs(sim[0])))
-        if spread < tol_value and diam < tol_x * rel:
+        if spread < TOL_VALUE and diam < TOL_SIMPLEX * rel:
             converged = True
             break
         centroid = np.mean(sim[:-1], axis=0)
@@ -311,12 +301,10 @@ def _nelder_mead(fn, x0, lo, hi, tol_value, tol_x, max_evals):
             if fc < min(fr, fs[-1]):
                 sim[-1], fs[-1] = xc, fc
             else:
-                for i in range(1, d + 1):
-                    sim[i] = sim[0] + 0.5 * (sim[i] - sim[0])
-                    fs[i] = f(sim[i])
-    order = sorted(range(d + 1), key=lambda i: fs[i])
-    best = np.minimum(np.maximum(sim[order[0]], lo), hi)
-    return best, fs[order[0]], evals, converged
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fs[1:] = [f(v) for v in sim[1:]]
+    best = int(np.argmin(fs))  # the first minimum, as a stable sort would put first
+    return np.minimum(np.maximum(sim[best], lo), hi), fs[best], evals, converged
 
 
 def _projected_gradient(value_fn, grad_fn, x0, lo, hi, max_iter):
@@ -400,11 +388,10 @@ def fit_mle(
         full[active] = v_active
         return full
 
-    def clip(full: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(full, lower), upper)
-
+    # Every point evaluated below is inside the box: the simplex and the polish
+    # project their active coordinates, and the pinned ones are the center's.
     def objective_full(full: np.ndarray) -> float:  # the kernel's total is finite or -inf
-        return -_kernel(prep, clip(full))[0] / prep.n
+        return -_kernel(prep, full)[0] / prep.n
 
     # Start list: center, data-informed, quasi-random, then user extras.  The
     # quasi-random block is a Halton set under a seeded rotation (the start
@@ -419,8 +406,7 @@ def fit_mle(
             full[active] = lower[active] + row * (upper[active] - lower[active])
             starts_full.append(full)
     for extra in opts.extra_starts:
-        vec = extra if isinstance(extra, np.ndarray) else pack_params(spec, extra)
-        starts_full.append(box.clip(np.asarray(vec, dtype=float)))
+        starts_full.append(box.clip(pack_params(spec, extra)))
 
     if opts.require_stability:
         kept = [
@@ -443,20 +429,18 @@ def fit_mle(
                 start[active],
                 lo_a,
                 hi_a,
-                opts.tol_value,
-                opts.tol_simplex,
                 opts.max_evals,
             )
             if opts.polish and math.isfinite(fb):
                 xb, _, polish_status = _projected_gradient(
                     lambda v: -objective_full(expand(v)),
-                    lambda v: _kernel(prep, clip(expand(v)), grad=True)[1][active],
+                    lambda v: _kernel(prep, expand(v), grad=True)[1][active],
                     xb,
                     lo_a,
                     hi_a,
                     opts.polish_max_iter,
                 )
-            final_full = box.clip(expand(xb))
+            final_full = expand(xb)
         theta = unpack_params(spec, final_full)
         values.append(_loglik_prepared(spec, theta, prep, False, False))
         value = values[-1].normalized

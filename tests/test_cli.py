@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -240,6 +241,7 @@ class TestMcConsistency:
             b1 = open(out1 / name, "rb").read()
             b2 = open(out2 / name, "rb").read()
             assert b1 == b2, name
+            assert _sha256(b1) == PINNED_MC[name], name
         report = json.load(open(out1 / "consistency.json"))
         assert {c["coord"] for c in report["cells"]} == {"omega", "a1", "b1"}
         tsv = open(out1 / "consistency.tsv").read().splitlines()
@@ -264,3 +266,79 @@ class TestMcConsistency:
         assert "ODMLAB_THREADS" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"fit": {"starts": "x"}},
+            {"fit": [1]},
+            {"box": [1]},
+            {"theta_star": {"omega": 0.1, "a": 0.5, "b": [0.3]}},
+            [1],
+        ],
+        ids=[
+            "fit_starts_not_int", "fit_not_object", "box_not_object", "theta_a_not_list",
+            "config_not_object",
+        ],
+    )
+    def test_malformed_config_is_usage_error(self, tmp_path, config):
+        if isinstance(config, dict):
+            cfg = self.write_config(tmp_path, n=[40], **config)
+        else:
+            cfg = str(tmp_path / "config.json")
+            (tmp_path / "config.json").write_text(json.dumps(config))
+        proc = run_cli("mc-consistency", "--config", cfg, "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# sha256 of the bytes each command writes; the fits run on one simulated
+# series, so these pin the search, the report layout and the JSON encoding
+PINNED_CHECK_STDOUT = {
+    "loglin_certificate": "2e37f660309bfd2e7c7b0b3466d825601c01ece193702997dfffffb849adc2ca",
+    "nbin_lhs": "15a7868821331e2db4d5201fca6844f55d5bbb02ca82abe8dd741584eb824778",
+}
+PINNED_FIT_JSON = {
+    "not_converged": "adc0c3cc8f3f36d745294e73096445b55e83b3f6e88e893d505da58832c4011a",
+    "pinned": "dcc5b2151cfc6576999caac48ecf4e748a8bb12c1d6dde951b7c76844dd323dd",
+    "require_stable": "511290694800c4ce1323e15fbf697c07df76d6d740f66acfaa932f14a5222e93",
+    "starts4": "3f778963ea852a7586423599ddfd53758785b360b5de51d0db47d26c97e80e7d",
+}
+PINNED_MC = {
+    "consistency.json": "f9187dc6101b17971130d764d508305d4d48515140cfb57faf23d038df80e194",
+    "consistency.tsv": "cb94f9d0119de41b3f2a837f31b41d24050e07844e6510589fbb218fb8ade561",
+}
+CHECK_ARGS = {
+    "loglin_certificate": ("--family", "loglin", "--omega", "0", "--a", "0.6", "-0.3",
+                           "--b", "0.2", "0.3"),
+    "nbin_lhs": ("--family", "nbin", "--omega", "1", "--a", "0.5", "--b", "0.3", "--r", "2"),
+}
+FIT_ARGS = {
+    "starts4": ("--family", "loglin", "--starts", "4"),
+    "pinned": ("--family", "loglin", "--starts", "4", "--pin", "a1=0.4"),
+    "require_stable": ("--family", "loglin", "--p", "2", "--q", "2", "--starts", "6",
+                       "--require-stable"),
+    "not_converged": ("--family", "loglin", "--max-evals", "4", "--no-polish"),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", sorted(CHECK_ARGS))
+    def test_check_stdout(self, name):
+        proc = run_cli("check", *CHECK_ARGS[name])
+        assert proc.returncode == 0, proc.stderr
+        assert _sha256(proc.stdout.encode()) == PINNED_CHECK_STDOUT[name]
+
+    @pytest.mark.parametrize("name", sorted(FIT_ARGS))
+    def test_fit_json(self, tmp_path, name):
+        data = simulate_csv(tmp_path, n=300, seed=9)
+        out = tmp_path / "fit.json"
+        proc = run_cli("fit", *FIT_ARGS[name], "--data", data, "--out", str(out))
+        assert proc.returncode in (0, 3), proc.stderr
+        assert _sha256(out.read_bytes()) == PINNED_FIT_JSON[name]

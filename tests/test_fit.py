@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from odmlab.fit import (
     FitOptions,
     ThetaBox,
+    _quasi_random_points,
     default_box,
     fit_mle,
     forecast_one_step,
@@ -43,6 +45,10 @@ class TestThetaBox:
         v = box.clip(np.array([99.0, -99.0, 0.5]))
         assert box.contains(v)
         assert v[0] == 5.0 and v[1] == -1.0
+
+
+def test_quasi_random_points_keep_their_bases_as_dims_grow():
+    assert np.array_equal(_quasi_random_points(13, 9)[:, :12], _quasi_random_points(12, 9))
 
 
 class TestFitMle:
@@ -133,6 +139,14 @@ class TestFitMle:
         at_truth = loglik(spec, th_star, z, sim.series).normalized
         assert res.loglik.normalized >= at_truth - 1e-12
 
+    def test_general_order_beyond_twelve_coordinates(self):
+        spec = loglin_spec(6, 6)  # dim 13
+        th = spec.params(0.1, [0.3, 0.1, 0.05, 0.0, 0.0, 0.0], [0.2, 0.1, 0.05, 0.0, 0.0, 0.0])
+        sim = simulate_series(spec, th, SimConfig(n=300, burn_in=100, seed=13))
+        res = fit_mle(spec, sim.series)
+        assert np.all(np.isfinite(pack_params(spec, res.theta_hat)))
+        assert math.isfinite(res.loglik.total)
+
     def test_result_carries_condition_report(self):
         spec = loglin_spec()
         th = spec.params(0.1, [0.5], [0.3])
@@ -171,3 +185,52 @@ class TestForecast:
         x_next = iterate_latent(spec, th, z, obs)
         manual = predictive(spec, th, x_next)
         assert dist == manual
+
+
+def _pinned_fit_cases():
+    l11, l22, n11, x11 = loglin_spec(), loglin_spec(2, 2), nbin_spec(), parx_spec(1, 1)
+    t11 = l11.params(0.1, [0.5], [0.3])
+    t22 = l22.params(0.1, [0.3, 0.2], [0.2, 0.1])
+    return {
+        "loglin11": (l11, t11, None, FitOptions(starts=4)),
+        "loglin22": (l22, t22, None, FitOptions(starts=4)),
+        "nbin11": (n11, n11.params(1.0, [0.3], [0.2], r=2.0), None, FitOptions(starts=4)),
+        "parx11": (x11, x11.params(0.5, [0.3], [0.2], gamma=[0.3, 0.1]), None, FitOptions(starts=3)),
+        "loglin11_pinned": (l11, t11, make_box(l11, [-5, 0.4, -1], [5, 0.4, 1]), FitOptions(starts=4)),
+        "loglin22_require_stability": (
+            l22, t22, None, FitOptions(starts=6, require_stability=True)
+        ),
+        "loglin11_extra_start": (l11, t11, None, FitOptions(starts=3, extra_starts=(t11,))),
+        "loglin11_not_converged": (l11, t11, None, FitOptions(starts=2, max_evals=4, polish=False)),
+    }
+
+
+def _fit_digest(spec, theta, box, opts):
+    sim = simulate_series(spec, theta, SimConfig(n=300, burn_in=100, seed=31))
+    res = fit_mle(spec, sim.series, box=box, opts=opts)
+    trace = [
+        (t.start_index, t.initial, t.final, t.value, t.evals, t.converged, t.polish, t.excluded)
+        for t in res.trace
+    ]
+    blob = repr((pack_params(spec, res.theta_hat).tolist(), res.loglik.total, trace))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# sha256 of repr((theta_hat, loglik total, per-start trace fields)); any
+# change to the search's arithmetic or bookkeeping moves these
+PINNED_FIT_DIGESTS = {
+    "loglin11": "bf89d42da5875a69f6d3e510f5a55daaef6b1a6e560911bdf8661f8ff0258dbe",
+    "loglin11_extra_start": "cb4b8c57a7aa278cc799a3092d2a8558d569d50397357338f4b56cb3d1bbdc39",
+    "loglin11_not_converged": "0ab2d1ea142883f92c648243fef02e4cd19f8c4b86ff7f1954eafed4c3e4d193",
+    "loglin11_pinned": "9e81e24a290730c088ec19dd18f398f26a771e87d85d0295b1ae68c65b6d7ea1",
+    "loglin22": "f3ff05b63382606d52224ec125322c1326e5df49c702ae140e16cec761aba118",
+    "loglin22_require_stability": "e2256c3b4918f7c1c43ca5e2c04251390ae9f4f5947c5a55fd11a59b191e7465",
+    "nbin11": "9981deb7b3588cb780e9599199caed8460608474973749a8633c605f6334c995",
+    "parx11": "d1ea4febc31eb041d5ad64418dd26f382a64e55872b4efb442b3f6c2ab69e0b6",
+}
+
+
+class TestPinnedFits:
+    @pytest.mark.parametrize("name", sorted(_pinned_fit_cases()))
+    def test_digest(self, name):
+        assert _fit_digest(*_pinned_fit_cases()[name]) == PINNED_FIT_DIGESTS[name]
