@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .conditions import check_identifiable, check_model
+from .conditions import CertificateBudgetError, check_identifiable, check_model
 from .experiment import ExperimentConfig, run_mc_consistency
 from .fit import FitOptions, ThetaBox, default_box, fit_mle, forecast_one_step, make_box
 from .model import (
@@ -216,7 +216,10 @@ def cmd_check(args) -> int:
     kwargs = {}
     if spec.family == LOGLIN and args.certificate_depth is not None:
         kwargs["certificate_depth"] = args.certificate_depth
-    report = check_model(spec, theta, **kwargs)
+    try:
+        report = check_model(spec, theta, **kwargs)
+    except CertificateBudgetError as exc:
+        raise CliError(str(exc)) from exc
     payload = report.to_dict()
     payload["identifiability"] = check_identifiable(theta.a, theta.b).to_dict()
     sys.stdout.write(_json_dumps(payload))

@@ -36,18 +36,19 @@ from .model import (
     LOGLIN,
     NBIN,
     PARX,
+    LatentWindow,
     ModelSpec,
     ParameterVector,
+    _window_path,
     reduce,
     validate_params,
 )
 
 TOL_RADIUS = 1e-9
-TOL_MARGIN = 0.0
 TOL_ROOT = 1e-8
 
 DEFAULT_CERT_DEPTH = 12
-CERT_BUDGET = 2**20
+CERT_BUDGET = 2**22  # floats held by the certificate's deepest level
 
 
 class CertificateBudgetError(ValueError):
@@ -138,44 +139,25 @@ def loglin_iterate(theta: ParameterVector, x, w) -> float:
     return xs[-1]
 
 
-def _padded(a, b):
-    s = max(len(a), len(b))
-    apad = tuple(a) + (0.0,) * (s - len(a))
-    bpad = tuple(b) + (0.0,) * (s - len(b))
-    return s, apad, bpad
-
-
-def _certificate_search(a, b, max_depth: int):
+def _certificate_search(apad, bpad, q: int, max_depth: int):
     """Smallest depth m <= max_depth at which every admissible product of
     m + 1 switched companion matrices has infinity norm < 1.
 
     Returns (depth or None, best max-norm seen).  Enumeration is breadth
-    first over switching histories; each node keeps the last q - 1 bits (all
-    a new matrix's top row can depend on) and its running product.
+    first over switching histories: bit j of ``hist`` is the j-th newest
+    bit, and a new matrix's top row reads the q newest.
     """
-    q = len(b)
-    s, apad, bpad = _padded(a, b)
-    apad = np.array(apad)
-    bpad = np.array(bpad)
+    s = len(apad)
+    apad, bpad, shifts = np.array(apad), np.array(bpad), np.arange(s)
 
-    def top_rows(newest_first_bits):
-        # newest_first_bits: (N, q) array, column j-1 holds w_{k-j}
-        rows = np.tile(apad, (newest_first_bits.shape[0], 1))
-        rows[:, :q] += bpad[:q] * newest_first_bits
-        return rows
+    def top_rows(hist):  # bits q and up meet the zero padding of bpad
+        return apad + bpad * ((hist[:, None] >> shifts) & 1)
 
-    # Depth 0: one matrix per q-bit pattern.
-    patterns = np.array(
-        [[(i >> j) & 1 for j in range(q)] for i in range(2**q)], dtype=float
-    )  # row i, col j-1 = w_{1-j} (newest first for step k=1)
-    n0 = patterns.shape[0]
-    prods = np.zeros((n0, s, s))
-    prods[:, 0, :] = top_rows(patterns)
-    if s > 1:
-        prods[:, 1:, :-1] = np.eye(s - 1)
-    # Suffix = last q-1 bits oldest-first: (w_{3-q}, ..., w_0, ...) -- for the
-    # next step the matrix needs (new bit, suffix reversed).
-    suffixes = patterns[:, : q - 1][:, ::-1] if q > 1 else np.zeros((n0, 0))
+    # Depth 0: one matrix per q-bit history.
+    hist = np.arange(2**q)
+    prods = np.zeros((hist.size, s, s))
+    prods[:, 0, :] = top_rows(hist)
+    prods[:, 1:, :-1] = np.eye(s - 1)
 
     best = math.inf
     for depth in range(max_depth + 1):
@@ -185,24 +167,15 @@ def _certificate_search(a, b, max_depth: int):
             return depth, best
         if depth == max_depth:
             break
-        n = prods.shape[0]
+        # all bit-0 children, then all bit-1 children, each block in parent order
+        n = hist.size
+        hist = np.concatenate([hist << 1, hist << 1 | 1])
+        rows = top_rows(hist)
         new_prods = np.empty((2 * n, s, s))
-        new_suffixes = np.empty((2 * n, max(q - 1, 0)))
-        for bit in (0, 1):
-            bits_newest_first = np.concatenate(
-                [np.full((n, 1), float(bit)), suffixes[:, ::-1]], axis=1
-            )
-            rows = top_rows(bits_newest_first)
-            block = slice(bit * n, (bit + 1) * n)
-            new_prods[block, 0, :] = np.einsum("nj,njk->nk", rows, prods)
-            if s > 1:
-                new_prods[block, 1:, :] = prods[:, :-1, :]
-            if q > 1:
-                new_suffixes[block] = np.concatenate(
-                    [suffixes[:, 1:], np.full((n, 1), float(bit))], axis=1
-                )
+        for block in (slice(0, n), slice(n, 2 * n)):
+            new_prods[block, 0, :] = np.einsum("nj,njk->nk", rows[block], prods)
+            new_prods[block, 1:, :] = prods[:, :-1, :]
         prods = new_prods
-        suffixes = new_suffixes
     return None, best
 
 
@@ -217,20 +190,28 @@ def check_loglin(
     the zero-padded sum ``a + b`` must both have their roots outside the
     closed unit disk.  Sufficient: either the coefficient bound
     ``sum_k max(|a_k|, |a_k + b_k|) < 1`` or the switched-product norm
-    certificate (searched up to ``certificate_depth``, default 12 scaled
-    down to keep 2^(q + depth) within the fixed budget ``CERT_BUDGET`` = 2^20).
+    certificate (searched up to ``certificate_depth``), whose deepest level
+    holds 2^(q + depth) products of s x s floats, s = max(p, q), within
+    ``CERT_BUDGET``.  The default depth is the largest <= 12 that fits; when
+    none fits, no certificate is searched.  An explicit depth over the budget
+    raises ``CertificateBudgetError``.
     """
     validate_params(spec, theta)
     a, b = theta.a, theta.b
-    q = len(b)
+    q, s = len(b), max(len(a), len(b))
+    apad = tuple(a) + (0.0,) * (s - len(a))
+    bpad = tuple(b) + (0.0,) * (s - q)
+    products = CERT_BUDGET // (s * s)  # the most s x s products the budget holds
     if certificate_depth is None:
-        certificate_depth = min(DEFAULT_CERT_DEPTH, max(0, int(math.log2(CERT_BUDGET)) - q))
-    if 2 ** (q + certificate_depth) > CERT_BUDGET:
+        certificate_depth = min(DEFAULT_CERT_DEPTH, products.bit_length() - 1 - q)
+        if certificate_depth < 0:
+            certificate_depth = None
+    elif 2 ** (q + certificate_depth) > products:
         raise CertificateBudgetError(
             f"certificate depth {certificate_depth} needs 2^{q + certificate_depth} "
-            f"products, over the budget of {CERT_BUDGET}; lower the depth"
+            f"products of {s}x{s} floats, over the budget of {CERT_BUDGET} floats; "
+            "lower the depth"
         )
-    s, apad, bpad = _padded(a, b)
 
     rad_a = companion_spectral_radius(a)
     rad_ab = companion_spectral_radius([apad[i] + bpad[i] for i in range(s)])
@@ -249,8 +230,10 @@ def check_loglin(
         return ConditionReport(verdict="Fail", checks=tuple(checks))
     if suff_sum:
         return ConditionReport(verdict="Pass", checks=tuple(checks))
+    if certificate_depth is None:
+        return ConditionReport(verdict="Inconclusive", checks=tuple(checks))
 
-    depth, best_norm = _certificate_search(a, b, certificate_depth)
+    depth, best_norm = _certificate_search(apad, bpad, q, certificate_depth)
     checks.append(
         ConditionCheck("switched_product_norm", best_norm, 1.0, depth is not None)
     )
@@ -263,26 +246,24 @@ def check_loglin(
     )
 
 
-def check_nbin(spec: ModelSpec, theta: ParameterVector) -> ConditionReport:
-    """Sharp NBIN moment balance: sum(a) + r * sum(b) < 1."""
-    validate_params(spec, theta)
-    lhs = sum(theta.a) + theta.r * sum(theta.b)
-    ok = lhs < 1.0 - TOL_MARGIN
+def _balance_report(lhs: float) -> ConditionReport:
+    ok = lhs < 1.0
     checks = (ConditionCheck("coefficient_balance", lhs, 1.0, ok),)
     return ConditionReport(
         verdict="Pass" if ok else "Fail", checks=checks, extras={"lhs": lhs}
     )
+
+
+def check_nbin(spec: ModelSpec, theta: ParameterVector) -> ConditionReport:
+    """Sharp NBIN moment balance: sum(a) + r * sum(b) < 1."""
+    validate_params(spec, theta)
+    return _balance_report(sum(theta.a) + theta.r * sum(theta.b))
 
 
 def check_parx(spec: ModelSpec, theta: ParameterVector) -> ConditionReport:
     """PARX drift condition: sum(a) + sum(b) < 1."""
     validate_params(spec, theta)
-    lhs = sum(theta.a) + sum(theta.b)
-    ok = lhs < 1.0 - TOL_MARGIN
-    checks = (ConditionCheck("coefficient_balance", lhs, 1.0, ok),)
-    return ConditionReport(
-        verdict="Pass" if ok else "Fail", checks=checks, extras={"lhs": lhs}
-    )
+    return _balance_report(sum(theta.a) + sum(theta.b))
 
 
 def check_model(spec: ModelSpec, theta: ParameterVector, **kwargs) -> ConditionReport:
@@ -338,7 +319,7 @@ def _reduced_metric(spec: ModelSpec, v, w) -> float:
     return abs(v - w)
 
 
-def window_distance(spec: ModelSpec, z, z2) -> float:
+def _window_distance(spec: ModelSpec, z, z2) -> float:
     """Max over window slots of the componentwise latent/reduced metrics."""
     dx = max(_latent_metric(spec, v, w) for v, w in zip(z.x, z2.x))
     du = max(
@@ -348,9 +329,7 @@ def window_distance(spec: ModelSpec, z, z2) -> float:
     return max(dx, du)
 
 
-def _sample_window(spec: ModelSpec, rng: np.random.Generator):
-    from .model import LatentWindow
-
+def _sample_window(spec: ModelSpec, rng: np.random.Generator) -> LatentWindow:
     p, q = spec.p, spec.q
     if spec.family == LOGLIN:
         return LatentWindow(
@@ -395,25 +374,24 @@ def lipschitz_estimate(
 
     For each trial, draw two windows and a shared observation sequence,
     iterate both, and record the ratio of the latent gap at step n to the
-    initial window distance; the maximum over trials is reported per n.
-    These are lower bounds on the true uniform Lipschitz constants; for a
-    stable parameter point they should decay geometrically.
+    initial window distance; the maximum over trials is reported per n, and
+    a NaN ratio (both paths overflowed) is skipped.  The PARX latents carry
+    the same covariate row, so their gap is that of the intensities.  These
+    are lower bounds on the true uniform Lipschitz constants; for a stable
+    parameter point they should decay geometrically.
     """
-    from .model import embed_step, project_latent
-
     out = np.zeros(n_max)
     for _ in range(trial_count):
         z1 = _sample_window(spec, rng)
         z2 = _sample_window(spec, rng)
-        d0 = window_distance(spec, z1, z2)
+        d0 = _window_distance(spec, z1, z2)
         if d0 == 0.0:
             continue
-        ys = _sample_observations(spec, rng, n_max)
-        for n, y in enumerate(ys):
-            z1 = embed_step(spec, theta, z1, y)
-            z2 = embed_step(spec, theta, z2, y)
-            gap = _latent_metric(spec, project_latent(spec, z1), project_latent(spec, z2))
-            out[n] = max(out[n], gap / d0)
+        u = [reduce(spec, y) for y in _sample_observations(spec, rng, n_max)]
+        x1 = _window_path(spec, theta, z1, u)
+        x2 = _window_path(spec, theta, z2, u)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge / d0
+            np.fmax(out, np.abs(np.subtract(x1, x2)) / d0, out=out)
     return out
 
 

@@ -11,7 +11,8 @@ The search evaluates the likelihood's vectorized kernel, which agrees with
 the sequential pass to rounding.  Each start's final point is then
 re-evaluated once by the exact sequential pass; those values rank the
 starts, and the winner's is reported, so the reported log-likelihood equals
-:func:`loglik` at the estimate bit for bit.  The search and the re-ranking
+:func:`loglik` at the estimate bit for bit.  Clamping warns at most once, and
+only when the pass at the estimate clamps.  The search and the re-ranking
 share one prepared form of the series; the forecast runs the same
 sequential recursion over its own.
 """
@@ -19,6 +20,7 @@ sequential recursion over its own.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .conditions import ConditionReport, check_model
-from .families import PredictiveDistribution, predictive
+from .families import ClampWarning, PredictiveDistribution, predictive
 from .likelihood import (
     GradientUndefinedError,
     LikelihoodValue,
@@ -442,7 +444,9 @@ def fit_mle(
                 )
             final_full = expand(xb)
         theta = unpack_params(spec, final_full)
-        values.append(_loglik_prepared(spec, theta, prep, False, False))
+        with warnings.catch_warnings():  # only the estimate's pass may warn, below
+            warnings.simplefilter("ignore", ClampWarning)
+            values.append(_loglik_prepared(spec, theta, prep, False, False))
         value = values[-1].normalized
         if not math.isfinite(value):
             value = -math.inf
@@ -471,10 +475,13 @@ def fit_mle(
     best = max(candidates, key=lambda t: (t.value, -t.start_index))
     theta_hat = unpack_params(spec, best.final)
     validate_params(spec, theta_hat)
+    value = values[best.start_index]
+    if value.clamped:  # the same pass again, this time warning about the estimate
+        value = _loglik_prepared(spec, theta_hat, prep, False, False)
     report = check_model(spec, theta_hat)
     return FitResult(
         theta_hat=theta_hat,
-        loglik=values[best.start_index],
+        loglik=value,
         starts=len(starts_full),
         converged=best.converged,
         condition_report=report,

@@ -384,18 +384,26 @@ def _latent_path(theta: ParameterVector, xw0, uw0, u, f=None) -> list:
     return xw[len(xw0):]
 
 
+def _window_path(spec: ModelSpec, theta: ParameterVector, z: LatentWindow, u) -> list:
+    """x_1..x_m from window ``z`` over the reduced observations ``u``.
+
+    PARX windows and reductions are unpacked to counts and feature rows.
+    """
+    if spec.family == PARX:
+        xw0 = [e[0] for e in z.x]
+        uw0 = [e[0] for e in z.u]
+        return _latent_path(theta, xw0, uw0, [v[0] for v in u], [v[1] for v in u])
+    return _latent_path(theta, z.x, z.u, u)
+
+
 def link_step(spec: ModelSpec, theta: ParameterVector, z: LatentWindow, u_now):
     """One application of the affine link: the next latent value.
 
     ``u_now`` is a reduced observation (output of :func:`reduce`).  For PARX
     the returned latent is the pair (intensity, covariate row of ``u_now``).
     """
-    if spec.family == PARX:
-        y_now, f_now, xi_now = u_now
-        xw = [e[0] for e in z.x]
-        yw = [e[0] for e in z.u] + [y_now]
-        return (_affine(theta.omega, theta.a, theta.b, xw, yw, theta.gamma, f_now), xi_now)
-    return _affine(theta.omega, theta.a, theta.b, z.x, z.u + (u_now,))
+    x = _window_path(spec, theta, z, [u_now])[0]
+    return (x, u_now[2]) if spec.family == PARX else x
 
 
 def embed_step(spec: ModelSpec, theta: ParameterVector, z: LatentWindow, y) -> LatentWindow:
@@ -427,12 +435,8 @@ def iterate_latent(spec: ModelSpec, theta: ParameterVector, z_init: LatentWindow
     u = [reduce(spec, y) for y in y_prefix]
     if not u:
         return project_latent(spec, z_init)
-    if spec.family == PARX:
-        xw0 = [e[0] for e in z_init.x]
-        uw0 = [e[0] for e in z_init.u]
-        x = _latent_path(theta, xw0, uw0, [v[0] for v in u], [v[1] for v in u])[-1]
-        return (x, u[-1][2])
-    return _latent_path(theta, z_init.x, z_init.u, u)[-1]
+    x = _window_path(spec, theta, z_init, u)[-1]
+    return (x, u[-1][2]) if spec.family == PARX else x
 
 
 def constant_window(spec: ModelSpec, x1, y1, xi1=None) -> LatentWindow:

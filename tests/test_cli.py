@@ -99,6 +99,17 @@ class TestCheck:
         payload = json.loads(proc.stdout)
         assert payload["identifiability"]["verdict"] == "Fail"
 
+    def test_general_order_verdict_and_budget_error(self):
+        args = ["check", "--family", "loglin", "--omega", "0", "--a", "0.1", "--b"]
+        args += ["0.01"] * 21
+        proc = run_cli(*args)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["verdict"] == "Pass"
+        proc = run_cli(*args, "--certificate-depth", "25")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: certificate depth 25")
+        assert "Traceback" not in proc.stderr
+
     def test_json_roundtrip_is_stable(self):
         proc = run_cli("check", "--family", "loglin", "--omega", "0", "--a", "0.5", "--b", "0.3")
         payload = json.loads(proc.stdout)

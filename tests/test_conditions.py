@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,32 @@ class TestCheckLoglin:
         with pytest.raises(CertificateBudgetError):
             check_loglin(spec, spec.params(0.0, [0.9], [0.5]), certificate_depth=25)
 
+    @pytest.mark.parametrize(
+        "a,b,verdict",
+        [
+            ([0.1], [0.01] * 21, "Pass"),
+            ([1.2], [0.01] * 21, "Fail"),
+            ([0.9], [-1.5] + [0.0] * 19 + [0.3], "Inconclusive"),
+        ],
+    )
+    def test_verdict_where_no_certificate_fits(self, a, b, verdict):
+        # 2^21 products of 21 x 21 floats exceed the budget even at depth 0
+        spec = loglin_spec(1, 21)
+        rep = check_loglin(spec, spec.params(0.0, a, b))
+        assert rep.verdict == verdict
+        assert rep.certificate_depth is None
+        assert rep.checks[-1].name == "coefficient_sum_bound"
+
+    def test_default_depth_lowered_to_fit_budget(self):
+        # s = 8: 2^(8 + 8) products of 8 x 8 floats fill the budget
+        spec = loglin_spec(8, 8)
+        th = spec.params(0.0, [0.9] + [0.0] * 7, [-1.5] + [0.0] * 6 + [0.3])
+        rep = check_loglin(spec, th)
+        assert rep.verdict == "Inconclusive"
+        assert rep.certificate_depth == 8
+        with pytest.raises(CertificateBudgetError):
+            check_loglin(spec, th, certificate_depth=9)
+
     def test_certificate_only_pass_has_vanishing_iterates(self):
         # a point the closed-form bound cannot certify: check the certificate
         # verdict against a much deeper direct enumeration of switched iterates
@@ -119,6 +147,26 @@ class TestCheckLoglin:
             for corner in itertools.product((-1.0, 1.0), repeat=2):
                 worst = max(worst, abs(loglin_iterate(th, corner, w)))
         assert worst < 1.0
+
+    def test_pinned_reports(self):
+        # a change to any verdict, margin or certificate depth shows here
+        rng = np.random.default_rng(905)
+        digest = hashlib.sha256()
+        searched = 0
+        for _ in range(400):
+            p, q = (int(v) for v in rng.integers(1, 5, 2))
+            spec = loglin_spec(p, q)
+            a, b = rng.uniform(-1.0, 1.0, p), rng.uniform(-1.0, 1.0, q)
+            k = rng.uniform(0.8, 1.6) / (np.abs(a).sum() + np.abs(b).sum())
+            th = spec.params(0.0, a * k, b * k)
+            for depth in (None, 3):
+                rep = check_loglin(spec, th, certificate_depth=depth)
+                searched += rep.checks[-1].name == "switched_product_norm"
+                digest.update(repr(rep.to_dict()).encode())
+        assert searched >= 200
+        assert digest.hexdigest() == (
+            "7bdaebfc044396baec1b214f3a556b0fc2163a61924cab79abfd2ac0344a5d0c"
+        )
 
     def test_order_one_equivalence_small_grid(self):
         spec = loglin_spec()
@@ -198,6 +246,26 @@ class TestLipschitz:
         ks = np.arange(1, 31)[est > 0]
         slope = np.polyfit(ks, np.log(est[est > 0]), 1)[0]
         assert slope < 0
+
+    def test_pinned_estimates(self):
+        # stable and unstable draws of all three families, plus an explosive
+        # point whose ratios overflow to inf
+        rng = np.random.default_rng(2106)
+        digest = hashlib.sha256()
+        families = set()
+        for i in range(45):
+            spec, th = oracles.random_instance(rng, stable=i % 2 == 0)
+            families.add(spec.family)
+            digest.update(repr(lipschitz_estimate(spec, th, 12, 4, rng).tolist()).encode())
+        assert families == {"loglin", "nbin", "parx"}
+        spec = loglin_spec()
+        th = spec.params(0.1, [2.5], [0.5])
+        est = lipschitz_estimate(spec, th, 800, 3, rngmod.substream(9, 0))
+        assert np.isinf(est).any()
+        digest.update(repr(est.tolist()).encode())
+        assert digest.hexdigest() == (
+            "c8e6cbda671053817d43d0ddbc72e400f89d1799947964deda3a9f288606c804"
+        )
 
 
 class TestNbinStationaryMean:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from odmlab.model import (
     default_initial_window,
     iterate_latent,
     pack_params,
+    unpack_params,
 )
-from odmlab.families import predictive
+from odmlab.families import ClampWarning, predictive
 from odmlab.simulate import SimConfig, simulate_series
 
 from test_model import loglin_spec, nbin_spec, parx_spec
@@ -146,6 +148,32 @@ class TestFitMle:
         res = fit_mle(spec, sim.series)
         assert np.all(np.isfinite(pack_params(spec, res.theta_hat)))
         assert math.isfinite(res.loglik.total)
+
+    def test_general_order_past_certificate_budget(self):
+        spec = loglin_spec(1, 21)  # no certificate fits the budget at q = 21
+        th = spec.params(0.1, [0.3], [0.2] + [0.0] * 20)
+        sim = simulate_series(spec, th, SimConfig(n=400, burn_in=100, seed=21))
+        res = fit_mle(spec, sim.series, opts=FitOptions(starts=1))
+        assert math.isfinite(res.loglik.total)
+        assert res.condition_report.certificate_depth is None
+
+    def test_warns_only_about_the_estimate(self):
+        spec = loglin_spec(2, 2)
+        th = spec.params(0.1, [0.3, 0.2], [0.2, 0.1])
+        sim = simulate_series(spec, th, SimConfig(n=300, burn_in=100, seed=4))
+        corner = default_box(spec).upper  # the latent clamps there
+        pinned = make_box(spec, corner, corner)
+        losing = FitOptions(starts=2, extra_starts=(unpack_params(spec, corner),))
+        for box, opts, expected in ((pinned, FitOptions(starts=2), 1), (None, losing, 0)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = fit_mle(spec, sim.series, box=box, opts=opts)
+            assert sum(w.category is ClampWarning for w in caught) == expected
+            assert (res.loglik.clamped > 0) == (expected == 1)
+            z = default_initial_window(spec, sim.series)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ClampWarning)
+                assert loglik(spec, res.theta_hat, z, sim.series).total == res.loglik.total
 
     def test_result_carries_condition_report(self):
         spec = loglin_spec()
