@@ -16,7 +16,15 @@ import sys
 
 from .conditions import CertificateBudgetError, check_identifiable, check_model
 from .experiment import ExperimentConfig, run_mc_consistency
-from .fit import FitOptions, ThetaBox, default_box, fit_mle, forecast_one_step, make_box
+from .fit import (
+    FitFailureError,
+    FitOptions,
+    ThetaBox,
+    default_box,
+    fit_mle,
+    forecast_one_step,
+    make_box,
+)
 from .model import (
     LOGLIN,
     NBIN,
@@ -33,7 +41,7 @@ from .model import (
     unpack_params,
 )
 from .likelihood import loglik
-from .simulate import SimConfig, simulate_series
+from .simulate import LatentExplosionError, SimConfig, simulate_series
 
 USAGE_ERROR = 2
 DEGRADED = 3
@@ -201,9 +209,12 @@ def cmd_simulate(args) -> int:
                 f"stability check verdict {report.verdict}: "
                 + "; ".join(f"{c.name}={c.value:.6g}" for c in report.checks)
             )
-    sim = simulate_series(
-        spec, theta, SimConfig(n=args.n, burn_in=args.burn_in, seed=args.seed)
-    )
+    try:
+        sim = simulate_series(
+            spec, theta, SimConfig(n=args.n, burn_in=args.burn_in, seed=args.seed)
+        )
+    except LatentExplosionError as exc:
+        raise CliError(str(exc)) from exc
     out = args.out or os.path.join(args.out_dir, "series.csv")
     _write_text(out, series_to_csv(sim.series))
     print(f"seed {args.seed}")
@@ -276,7 +287,7 @@ def cmd_fit(args) -> int:
     )
     try:
         result = fit_mle(spec, series, box=box, opts=opts)
-    except (ValueError, DomainError) as exc:
+    except (ValueError, FitFailureError) as exc:
         raise CliError(str(exc)) from exc
     out = args.out or os.path.join(args.out_dir, "fit.json")
     payload = result.to_dict(spec)

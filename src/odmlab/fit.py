@@ -192,18 +192,6 @@ class FitResult:
         }
 
 
-def _halton(index: int, base: int) -> float:
-    # radical-inverse sequence; index >= 1
-    result = 0.0
-    f = 1.0 / base
-    i = index
-    while i > 0:
-        result += f * (i % base)
-        i //= base
-        f /= base
-    return result
-
-
 def _first_primes(count: int) -> list[int]:
     primes = []
     candidate = 2
@@ -216,11 +204,15 @@ def _first_primes(count: int) -> list[int]:
 
 def _quasi_random_points(dim: int, count: int) -> np.ndarray:
     """The first ``count`` Halton points in ``dim`` dims, one prime base per dim."""
-    bases = _first_primes(dim)
-    pts = np.empty((count, dim))
-    for i in range(count):
-        for j in range(dim):
-            pts[i, j] = _halton(i + 1, bases[j])
+    # radical inverses of 1..count, one base digit per pass over the array
+    bases = np.array(_first_primes(dim), dtype=np.int64)
+    i = np.tile(np.arange(1, count + 1)[:, None], dim)
+    f = 1.0 / bases
+    pts = np.zeros((count, dim))
+    while i.any():
+        pts += f * (i % bases)
+        i //= bases
+        f /= bases
     return pts
 
 

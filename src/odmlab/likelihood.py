@@ -39,6 +39,7 @@ from .model import (
     ParameterVector,
     _feature_value,
     _latent_path,
+    _scalar_window,
     check_series,
     pack_params,
     unpack_params,
@@ -90,8 +91,8 @@ class _Prepared:
     lnf: np.ndarray  # ln(y_k!) for k = 1..n
     lnf_sum: float
     counts: Optional[tuple[np.ndarray, np.ndarray]]  # NBIN: distinct y_k, multiplicities
-    xw0: tuple[float, ...]
-    uw0: tuple[float, ...]
+    xw0: list[float]
+    uw0: list[float]
     covariates: Optional[np.ndarray]  # PARX: xi_0..xi_n
     # (n, dim): row k - 1 is d_k's coefficient on each packed parameter:
     # 1 | x_{k-i} from the initial window, else 0 | u_{k-j} | 0 (NBIN r) | f_{k-1}
@@ -120,11 +121,11 @@ def _prepare(
     if fam == NBIN:  # over y_1..y_n: a y_0 that does not recur gets no entry
         mult = np.bincount(inv[1:], minlength=vals.size)
         counts = (vals[mult > 0], mult[mult > 0].astype(float))
-    xw0, uw0, feats, cov = tuple(z_init.x), tuple(z_init.u), None, None
+    xw0, uw0 = _scalar_window(spec, z_init)
+    feats = cov = None
     if fam == PARX:
         cov = np.asarray(series.covariates, dtype=float)
         feats = np.column_stack(list(map(_feature_value, spec.parx.feature_kinds, cov.T)))
-        xw0, uw0 = tuple(e[0] for e in xw0), tuple(e[0] for e in uw0)
     xext = np.concatenate((np.asarray(xw0, dtype=float), np.zeros(n)))  # x_{1-p}..x_0, 0, ...
     uext = np.concatenate((np.asarray(uw0, dtype=float), u[:n]))  # u_{1-q}..u_{n-1}
     columns = [np.ones(n)] + [xext[p - i : p - i + n] for i in range(1, p + 1)]

@@ -104,14 +104,13 @@ class ParxConfig:
         mat = np.asarray(self.aleph, dtype=float)
         if mat.shape != (self.r_dim, self.r_dim):
             raise ValueError(f"aleph must be {self.r_dim}x{self.r_dim}, got {mat.shape}")
-        if self.r_dim == 1:
-            rad = abs(float(mat[0, 0]))
-        else:
-            rad = float(np.max(np.abs(np.linalg.eigvals(mat))))
+        if not np.isfinite(mat).all():
+            raise ValueError("aleph entries must be finite")
+        rad = float(np.max(np.abs(np.linalg.eigvals(mat))))
         if rad >= 1.0:
             raise ValueError(f"aleph spectral radius {rad:.6g} >= 1; covariates would not be stable")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be > 0")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be > 0 and finite")
 
     @property
     def d(self) -> int:
@@ -231,9 +230,7 @@ def pack_params(spec: ModelSpec, theta: ParameterVector) -> np.ndarray:
 def unpack_params(spec: ModelSpec, vec: Sequence[float]) -> ParameterVector:
     vec = [float(v) for v in vec]
     p, q = spec.p, spec.q
-    expected = 1 + p + q + (1 if spec.family == NBIN else 0) + (
-        spec.parx.d if spec.family == PARX else 0
-    )
+    expected = len(param_names(spec))
     if len(vec) != expected:
         raise ValueError(f"expected {expected} parameters for {spec.family}, got {len(vec)}")
     omega, a, b = vec[0], tuple(vec[1 : 1 + p]), tuple(vec[1 + p : 1 + p + q])
@@ -282,12 +279,9 @@ class ObservationSeries:
     def __post_init__(self):
         if len(self.y) < 1:
             raise ValueError("series must contain at least one observation")
-        try:
-            for v in self.y:
-                if v < 0 or v != int(v):
-                    raise DomainError(f"counts must be nonnegative integers, got {v!r}")
-        except (ValueError, OverflowError):  # also int() of NaN or inf
-            raise DomainError(f"counts must be nonnegative integers, got {v!r}") from None
+        for v in self.y:
+            if not 0 <= v < math.inf or v % 1:  # NaN and inf fail before the %
+                raise DomainError(f"counts must be nonnegative integers, got {v!r}")
         if self.covariates is not None and len(self.covariates) != len(self.y):
             raise ValueError(
                 f"{len(self.covariates)} covariate rows for {len(self.y)} observations"
@@ -384,16 +378,25 @@ def _latent_path(theta: ParameterVector, xw0, uw0, u, f=None) -> list:
     return xw[len(xw0):]
 
 
+def _scalar_window(spec: ModelSpec, z: LatentWindow) -> tuple[list, list]:
+    """Fresh lists of the window's latents and reductions, as the recursion reads them.
+
+    PARX entries are unpacked to their first component: intensity and count.
+    """
+    if spec.family == PARX:
+        return [e[0] for e in z.x], [e[0] for e in z.u]
+    return list(z.x), list(z.u)
+
+
 def _window_path(spec: ModelSpec, theta: ParameterVector, z: LatentWindow, u) -> list:
     """x_1..x_m from window ``z`` over the reduced observations ``u``.
 
-    PARX windows and reductions are unpacked to counts and feature rows.
+    PARX reductions are unpacked to counts and feature rows.
     """
+    xw0, uw0 = _scalar_window(spec, z)
     if spec.family == PARX:
-        xw0 = [e[0] for e in z.x]
-        uw0 = [e[0] for e in z.u]
         return _latent_path(theta, xw0, uw0, [v[0] for v in u], [v[1] for v in u])
-    return _latent_path(theta, z.x, z.u, u)
+    return _latent_path(theta, xw0, uw0, u)
 
 
 def link_step(spec: ModelSpec, theta: ParameterVector, z: LatentWindow, u_now):

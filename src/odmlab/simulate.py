@@ -28,7 +28,6 @@ from .conditions import check_model
 from .families import bind_sampler
 from .model import (
     LOGLIN,
-    NBIN,
     PARX,
     DomainError,
     LatentWindow,
@@ -38,6 +37,7 @@ from .model import (
     ParxConfig,
     _affine,
     _feature_value,
+    _scalar_window,
     constant_window,
     validate_params,
     validate_window,
@@ -74,11 +74,7 @@ class SimResult:
 
 def default_simulation_window(spec: ModelSpec, theta: ParameterVector) -> LatentWindow:
     """A fixed admissible starting window; burn-in absorbs the transient."""
-    if spec.family == LOGLIN:
-        return constant_window(spec, 0.0, 0)
-    if spec.family == NBIN:
-        return constant_window(spec, theta.omega, 0)
-    return constant_window(spec, theta.omega, 0, xi1=(0.0,) * spec.parx.r_dim)
+    return constant_window(spec, 0.0 if spec.family == LOGLIN else theta.omega, 0)
 
 
 def covariate_path(cfg: ParxConfig, xi0, noise: np.ndarray) -> np.ndarray:
@@ -127,7 +123,9 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
     ys: list[int] = []
     xs: list[float] = []
     keep_y, keep_x = ys.append, xs.append
+    xw, uw = _scalar_window(spec, z0)
     covariates = None
+    feats = repeat(())
     if spec.family == PARX:
         px = spec.parx
         noise = rngmod.substream(cfg.seed, rngmod.COVARIATE).standard_normal((steps, px.r_dim))
@@ -135,42 +133,29 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
         del noise
         covariates = tuple(zip(*[c[burn_in:] for c in cols]))
         feats = zip(*[map(partial(_feature_value, k), c) for k, c in zip(px.feature_kinds, cols)])
-        xw = [e[0] for e in z0.x]
-        uw = [e[0] for e in z0.u]
-    else:
-        feats = repeat(())
-        xw = list(z0.x)
-        uw = list(z0.u)
-    if len(a) == len(b) == 1 and not gamma:
-        # _affine's additions in _affine's order, inlined, as in _latent_path
-        a1, b1 = a[0], b[0]
-        x = xw[-1]
-        for t in range(steps):
-            if not lo <= x <= limit:
-                raise _explosion(x, limit, t)
-            try:
-                y = draw(x)
-            except DomainError as exc:
-                raise LatentExplosionError(f"at step {t}: {exc}") from exc
-            if t >= burn_in:
-                keep_y(y)
-                keep_x(x)
-            x = omega + a1 * x + b1 * (log1p(y) if loglin else y)
-    else:
-        step, observe = xw.append, uw.append
-        for t, f in zip(range(steps), feats):
-            x = xw[-1]
-            if not lo <= x <= limit:
-                raise _explosion(x, limit, t)
-            try:
-                y = draw(x)
-            except DomainError as exc:
-                raise LatentExplosionError(f"at step {t}: {exc}") from exc
-            if t >= burn_in:
-                keep_y(y)
-                keep_x(x)
-            observe(log1p(y) if loglin else y)
-            step(_affine(omega, a, b, xw, uw, gamma, f))
+    # p = q = 1 without gamma steps x in a local: _affine's additions in
+    # _affine's order, inlined, as in _latent_path
+    fast = len(a) == len(b) == 1 and not gamma
+    a1, b1 = a[0], b[0]
+    x = xw[-1]
+    step, observe = xw.append, uw.append
+    for t in range(steps):
+        if not lo <= x <= limit:
+            raise _explosion(x, limit, t)
+        try:
+            y = draw(x)
+        except DomainError as exc:
+            raise LatentExplosionError(f"at step {t}: {exc}") from exc
+        if t >= burn_in:
+            keep_y(y)
+            keep_x(x)
+        u = log1p(y) if loglin else y
+        if fast:
+            x = omega + a1 * x + b1 * u
+        else:
+            observe(u)
+            x = _affine(omega, a, b, xw, uw, gamma, next(feats))
+            step(x)
             del xw[0]
             del uw[0]
     series = ObservationSeries(y=tuple(ys), covariates=covariates)

@@ -229,3 +229,15 @@ def random_window(spec, rng):
         for _ in range(q - 1)
     )
     return LatentWindow(x=xs, u=us)
+
+
+def radical_inverse(index, base):
+    """The Halton radical inverse of ``index`` >= 1 in ``base``, one digit at a time."""
+    result = 0.0
+    f = 1.0 / base
+    i = index
+    while i > 0:
+        result += f * (i % base)
+        i //= base
+        f /= base
+    return result

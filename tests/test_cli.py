@@ -4,9 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+
+from odmlab.cli import main
 
 PKG = [sys.executable, "-m", "odmlab.cli"]
 
@@ -115,6 +118,46 @@ class TestCheck:
         payload = json.loads(proc.stdout)
         again = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         assert again == proc.stdout
+
+
+PARX_ARGS = ("--family", "parx", "--omega", "0.5", "--a", "0.3", "--b", "0.2", "--gamma", "0.3")
+
+
+class TestCleanExits:
+    """Explosive or non-finite inputs end in one error line and exit 2, in process."""
+
+    @staticmethod
+    def assert_usage_error(capsys, argv, out_dir):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+        return err
+
+    @pytest.mark.parametrize("args, message", [
+        (("--family", "loglin", "--omega", "0", "--a", "1.5", "--b", "0.3"), "at step"),
+        ((*PARX_ARGS, "--aleph", "nan"), "aleph entries must be finite"),
+        ((*PARX_ARGS, "--xi-dim", "2", "--aleph", "0.1", "0", "nan", "0.2"), "aleph"),
+        ((*PARX_ARGS, "--sigma", "inf"), "sigma must be > 0 and finite"),
+    ])
+    def test_simulate(self, tmp_path, capsys, args, message):
+        out_dir = tmp_path / "out"
+        argv = ["simulate", *args, "--n", "100", "--out-dir", str(out_dir)]
+        assert message in self.assert_usage_error(capsys, argv, out_dir)
+
+    def test_fit_with_no_finite_start(self, tmp_path, capsys):
+        data = str(tmp_path / "nbin.csv")
+        assert main(["simulate", "--family", "nbin", "--omega", "1", "--a", "0.3", "--b", "0.2",
+                     "--r", "2", "--n", "2000", "--seed", "1", "--out", data]) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        argv = ["fit", "--family", "nbin", "--data", data, "--out-dir", str(out_dir)]
+        argv += ["--pin", "omega=1", "--pin", "a1=2", "--pin", "b1=2", "--pin", "r=1"]
+        assert "non-finite objective" in self.assert_usage_error(capsys, argv, out_dir)
 
 
 class TestFitAndLoglik:

@@ -26,6 +26,7 @@ from odmlab.model import (
 from odmlab.families import ClampWarning, predictive
 from odmlab.simulate import SimConfig, simulate_series
 
+import oracles
 from test_model import loglin_spec, nbin_spec, parx_spec
 
 
@@ -51,6 +52,17 @@ class TestThetaBox:
 
 def test_quasi_random_points_keep_their_bases_as_dims_grow():
     assert np.array_equal(_quasi_random_points(13, 9)[:, :12], _quasi_random_points(12, 9))
+
+
+def test_quasi_random_points_match_the_scalar_radical_inverse():
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
+              79, 83, 89]
+    ref = np.array([[oracles.radical_inverse(i, b) for b in primes] for i in range(1, 51)])
+    for dim in range(1, 25):
+        for count in range(51):
+            pts = _quasi_random_points(dim, count)
+            assert pts.shape == (count, dim)
+            assert pts.tobytes() == ref[:count, :dim].tobytes(), (dim, count)
 
 
 class TestFitMle:

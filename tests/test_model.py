@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,17 +320,30 @@ class TestParamsAndWindows:
         with pytest.raises(ValueError):
             ParxConfig(r_dim=1, feature_kinds=("abs",), aleph=((0.5,),), sigma=0.0)
 
+    @pytest.mark.parametrize("r_dim", [1, 2])
+    def test_parx_config_rejects_non_finite_constants(self, r_dim):
+        eye = tuple(tuple(0.5 * (i == j) for j in range(r_dim)) for i in range(r_dim))
+        nan_corner = eye[:-1] + (eye[-1][:-1] + (math.nan,),)
+        with pytest.raises(ValueError, match="aleph"):
+            ParxConfig(r_dim=r_dim, feature_kinds=("abs",), aleph=nan_corner, sigma=1.0)
+        with pytest.raises(ValueError, match="sigma"):
+            ParxConfig(r_dim=r_dim, feature_kinds=("abs",), aleph=eye, sigma=math.inf)
+
     def test_series_validation(self):
         with pytest.raises(DomainError):
             ObservationSeries(y=(1, -2))
         with pytest.raises(ValueError):
             ObservationSeries(y=(1, 2), covariates=((0.0,),))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -1, np.float64("nan")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -1, np.float64("nan"),
+                                     np.float64("inf"), np.float32(2.5)])
     def test_series_rejects_non_counts(self, bad):
-        with pytest.raises(DomainError, match="nonnegative integers"):
-            ObservationSeries(y=(1, bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. a RuntimeWarning from numpy inf % 1
+            with pytest.raises(DomainError, match="nonnegative integers"):
+                ObservationSeries(y=(1, bad))
 
     def test_series_accepts_integral_values(self):
-        for y in ((0, 3), (True, False), (np.int64(2), np.uint8(7)), (2.0, 0.0)):
+        for y in ((0, 3), (True, False), (np.int64(2), np.uint8(7)), (2.0, 0.0),
+                  (10**30, np.float32(3.0))):
             assert ObservationSeries(y=y).y == y
