@@ -336,7 +336,8 @@ class TestParamsAndWindows:
             ObservationSeries(y=(1, 2), covariates=((0.0,),))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -1, np.float64("nan"),
-                                     np.float64("inf"), np.float32(2.5)])
+                                     pytest.param(np.float64("inf"), id="np-inf"),
+                                     pytest.param(np.float32(2.5), id="np-float32-2.5")])
     def test_series_rejects_non_counts(self, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. a RuntimeWarning from numpy inf % 1
