@@ -22,7 +22,6 @@ from .families import (
     PredictiveDistribution,
     log_density,
     predictive,
-    sample_observation,
 )
 from .fit import (
     FitOptions,

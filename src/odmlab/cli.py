@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
-from .conditions import CertificateBudgetError, check_identifiable, check_model
+from .conditions import check_identifiable, check_model
 from .experiment import ExperimentConfig, run_mc_consistency
 from .fit import (
     FitFailureError,
@@ -29,14 +30,12 @@ from .model import (
     LOGLIN,
     NBIN,
     PARX,
-    DomainError,
     ModelOrder,
     ModelSpec,
     ObservationSeries,
     ParameterVector,
     ParxConfig,
     default_initial_window,
-    pack_params,
     param_names,
     unpack_params,
 )
@@ -48,9 +47,7 @@ DEGRADED = 3
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+    """A usage error the CLI found itself; ``main`` prints it and exits 2."""
 
 
 def _json_dumps(obj) -> str:
@@ -107,12 +104,7 @@ def _build_parx_config(args) -> ParxConfig:
         mat = tuple(
             tuple(args.aleph[i * r_dim + j] for j in range(r_dim)) for i in range(r_dim)
         )
-    try:
-        return ParxConfig(
-            r_dim=r_dim, feature_kinds=tuple(args.feature), aleph=mat, sigma=args.sigma
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return ParxConfig(r_dim=r_dim, feature_kinds=tuple(args.feature), aleph=mat, sigma=args.sigma)
 
 
 def _build_spec_theta(args) -> tuple[ModelSpec, ParameterVector]:
@@ -120,20 +112,13 @@ def _build_spec_theta(args) -> tuple[ModelSpec, ParameterVector]:
         raise CliError("--omega, --a and --b are required")
     order = ModelOrder(p=len(args.a), q=len(args.b))
     parx = _build_parx_config(args) if args.family == PARX else None
-    try:
-        spec = ModelSpec(family=args.family, order=order, parx=parx)
-        theta = spec.params(args.omega, args.a, args.b, r=args.r, gamma=args.gamma)
-    except (ValueError, DomainError) as exc:
-        raise CliError(str(exc)) from exc
-    return spec, theta
+    spec = ModelSpec(family=args.family, order=order, parx=parx)
+    return spec, spec.params(args.omega, args.a, args.b, r=args.r, gamma=args.gamma)
 
 
 def _build_spec_orders(args) -> ModelSpec:
     parx = _build_parx_config(args) if args.family == PARX else None
-    try:
-        return ModelSpec(family=args.family, order=ModelOrder(p=args.p, q=args.q), parx=parx)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return ModelSpec(family=args.family, order=ModelOrder(p=args.p, q=args.q), parx=parx)
 
 
 # --- CSV -----------------------------------------------------------------------
@@ -180,6 +165,8 @@ def series_from_csv(path: str, family: str) -> ObservationSeries:
             row = tuple(float(v) for v in parts[2:])
         except ValueError as exc:
             raise CliError(f"{path}: line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise CliError(f"{path}: line {lineno}: covariates must be finite")
         if t != lineno - 2:
             raise CliError(f"{path}: line {lineno}: t must be 0-based and consecutive")
         if y < 0:
@@ -209,12 +196,7 @@ def cmd_simulate(args) -> int:
                 f"stability check verdict {report.verdict}: "
                 + "; ".join(f"{c.name}={c.value:.6g}" for c in report.checks)
             )
-    try:
-        sim = simulate_series(
-            spec, theta, SimConfig(n=args.n, burn_in=args.burn_in, seed=args.seed)
-        )
-    except LatentExplosionError as exc:
-        raise CliError(str(exc)) from exc
+    sim = simulate_series(spec, theta, SimConfig(n=args.n, burn_in=args.burn_in, seed=args.seed))
     out = args.out or os.path.join(args.out_dir, "series.csv")
     _write_text(out, series_to_csv(sim.series))
     print(f"seed {args.seed}")
@@ -224,13 +206,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     spec, theta = _build_spec_theta(args)
-    kwargs = {}
-    if spec.family == LOGLIN and args.certificate_depth is not None:
-        kwargs["certificate_depth"] = args.certificate_depth
-    try:
-        report = check_model(spec, theta, **kwargs)
-    except CertificateBudgetError as exc:
-        raise CliError(str(exc)) from exc
+    report = check_model(spec, theta, certificate_depth=args.certificate_depth)
     payload = report.to_dict()
     payload["identifiability"] = check_identifiable(theta.a, theta.b).to_dict()
     sys.stdout.write(_json_dumps(payload))
@@ -259,7 +235,7 @@ def _box_from_args(args, spec: ModelSpec) -> ThetaBox:
             with open(args.box_file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
             box = make_box(spec, data["lower"], data["upper"])
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise CliError(f"bad box file {args.box_file}: {exc}") from exc
     else:
         box = default_box(spec)
@@ -285,10 +261,7 @@ def cmd_fit(args) -> int:
         guard_override=args.guard_override,
         seed=args.seed,
     )
-    try:
-        result = fit_mle(spec, series, box=box, opts=opts)
-    except (ValueError, FitFailureError) as exc:
-        raise CliError(str(exc)) from exc
+    result = fit_mle(spec, series, box=box, opts=opts)
     out = args.out or os.path.join(args.out_dir, "fit.json")
     payload = result.to_dict(spec)
     payload["family"] = spec.family
@@ -315,17 +288,19 @@ def cmd_forecast(args) -> int:
             fitted = json.load(fh)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read theta file {args.theta_file}: {exc}") from exc
+    fitted = _json_object(fitted, "theta file")
     if fitted.get("family") != args.family:
         raise CliError(
             f"family mismatch: theta file has {fitted.get('family')!r}, flags say {args.family!r}"
         )
-    order = fitted.get("order", {})
+    order = _json_object(fitted.get("order", {}), "theta file 'order'")
     args.p = int(order.get("p", args.p))
     args.q = int(order.get("q", args.q))
     spec = _build_spec_orders(args)
     names = param_names(spec)
     try:
-        theta = unpack_params(spec, [fitted["theta_hat"][name] for name in names])
+        theta_hat = _json_object(fitted["theta_hat"], "theta file 'theta_hat'")
+        theta = unpack_params(spec, [theta_hat[name] for name in names])
     except KeyError as exc:
         raise CliError(f"theta file is missing coordinate {exc}") from exc
     series = series_from_csv(args.data, spec.family)
@@ -364,24 +339,15 @@ def cmd_mc_consistency(args) -> int:
         raise CliError(f"cannot read config {args.config}: {exc}") from exc
     raw = _json_object(raw, "config")
 
+    theta_raw = _json_object(raw.get("theta_star", {}), "config 'theta_star'")
     ns = argparse.Namespace(
         family=raw.get("family"),
-        omega=None,
-        a=None,
-        b=None,
-        r=None,
-        gamma=None,
         xi_dim=raw.get("xi_dim", 1),
         feature=raw.get("feature", ["abs"]),
         aleph=raw.get("aleph"),
         sigma=raw.get("sigma", 1.0),
+        **{key: theta_raw.get(key) for key in ("omega", "a", "b", "r", "gamma")},
     )
-    theta_raw = _json_object(raw.get("theta_star", {}), "config 'theta_star'")
-    ns.omega = theta_raw.get("omega")
-    ns.a = theta_raw.get("a")
-    ns.b = theta_raw.get("b")
-    ns.r = theta_raw.get("r")
-    ns.gamma = theta_raw.get("gamma")
     if ns.family not in (LOGLIN, NBIN, PARX):
         raise CliError(f"config family must be one of {(LOGLIN, NBIN, PARX)}")
     try:
@@ -401,9 +367,11 @@ def cmd_mc_consistency(args) -> int:
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"bad box in config: {exc}") from exc
     fit_raw = _json_object(raw.get("fit", {}), "config 'fit'")
-    overrides = {key: fit_raw[key] for key in MC_FIT_KEYS if key in fit_raw}
+    unknown = sorted(set(fit_raw) - set(MC_FIT_KEYS))
+    if unknown:
+        raise CliError(f"unknown 'fit' keys in config: {unknown}; allowed: {list(MC_FIT_KEYS)}")
     try:  # each value is cast to its default's type: int for the counts, bool for the flags
-        fit_opts = FitOptions(**{k: type(getattr(FitOptions, k))(v) for k, v in overrides.items()})
+        fit_opts = FitOptions(**{k: type(getattr(FitOptions, k))(v) for k, v in fit_raw.items()})
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad 'fit' in config: {exc}") from exc
     try:
@@ -417,13 +385,10 @@ def cmd_mc_consistency(args) -> int:
             fit_opts=fit_opts,
             burn_in=int(raw.get("burn_in", ExperimentConfig.burn_in)),
         )
-    except (TypeError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    except TypeError as exc:  # e.g. a scalar where the list of sizes belongs
+        raise CliError(f"bad config: {exc}") from exc
 
-    try:
-        report = run_mc_consistency(config)
-    except ValueError as exc:  # e.g. a malformed ODMLAB_THREADS
-        raise CliError(str(exc)) from exc
+    report = run_mc_consistency(config)
     out_dir = args.out_dir
     _write_text(os.path.join(out_dir, "consistency.json"), _json_dumps(report.to_dict()))
     _write_text(
@@ -511,10 +476,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except DomainError as exc:
+    except (CliError, ValueError, LatentExplosionError, FitFailureError) as exc:
+        # ValueError is the library's input-error type (DomainError and
+        # CertificateBudgetError among them); other exceptions are bugs
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

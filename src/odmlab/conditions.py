@@ -194,7 +194,7 @@ def check_loglin(
     holds 2^(q + depth) products of s x s floats, s = max(p, q), within
     ``CERT_BUDGET``.  The default depth is the largest <= 12 that fits; when
     none fits, no certificate is searched.  An explicit depth over the budget
-    raises ``CertificateBudgetError``.
+    raises ``CertificateBudgetError``, a negative one ``ValueError``.
     """
     validate_params(spec, theta)
     a, b = theta.a, theta.b
@@ -206,6 +206,8 @@ def check_loglin(
         certificate_depth = min(DEFAULT_CERT_DEPTH, products.bit_length() - 1 - q)
         if certificate_depth < 0:
             certificate_depth = None
+    elif certificate_depth < 0:
+        raise ValueError(f"certificate depth must be >= 0, got {certificate_depth}")
     elif 2 ** (q + certificate_depth) > products:
         raise CertificateBudgetError(
             f"certificate depth {certificate_depth} needs 2^{q + certificate_depth} "

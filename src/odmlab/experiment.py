@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise ValueError("replicate count must be >= 1")
         if any(b <= a for a, b in zip(self.ns, self.ns[1:])) or not self.ns:
             raise ValueError("sample sizes must be non-empty and strictly increasing")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
 
 
 @dataclass(frozen=True)

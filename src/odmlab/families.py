@@ -146,7 +146,8 @@ def bind_sampler(spec: ModelSpec, theta: ParameterVector, rng: np.random.Generat
     outside the family's domain.  Each call draws from ``rng`` in a fixed
     order: NBIN draws gamma, then poisson (the gamma-Poisson mixture, so the
     shape may be any positive real, and no gamma at x = 0); the Poisson
-    families draw poisson only.
+    families draw poisson only.  For PARX, ``x`` is the intensity component:
+    the covariates do not depend on the counts.
     """
     poisson = rng.poisson
     if spec.family == LOGLIN:
@@ -182,17 +183,6 @@ def bind_sampler(spec: ModelSpec, theta: ParameterVector, rng: np.random.Generat
             return int(poisson(x))
 
     return draw
-
-
-def sample_observation(spec: ModelSpec, theta: ParameterVector, x, rng: np.random.Generator):
-    """Draw one count from the observation kernel at latent ``x``.
-
-    Deterministic given the generator state; see :func:`bind_sampler` for
-    the draw rules.  For PARX, ``x`` is the intensity component and the
-    returned value is the count only: the covariates do not depend on the
-    counts, and the simulator draws their path up front.
-    """
-    return bind_sampler(spec, theta, rng)(x)
 
 
 def predictive(spec: ModelSpec, theta: ParameterVector, x) -> PredictiveDistribution:

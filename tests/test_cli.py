@@ -121,6 +121,55 @@ class TestCheck:
 
 
 PARX_ARGS = ("--family", "parx", "--omega", "0.5", "--a", "0.3", "--b", "0.2", "--gamma", "0.3")
+LOGLIN_ARGS = ("--family", "loglin", "--omega", "0", "--a", "0.1", "--b", "0.1")
+LOGLIN_THETA = {"family": "loglin", "order": {"p": 1, "q": 1},
+                "theta_hat": {"omega": 0.1, "a1": 0.5, "b1": 0.3}}
+MC_CONFIG = {"family": "loglin", "theta_star": {"omega": 0.1, "a": [0.5], "b": [0.3]},
+             "n": [40], "replicates": 2, "seed": 1, "fit": {"starts": 2}}
+# the input files of the error table, written to the working directory
+ERROR_FILES = {
+    "one.csv": "t,y\n0,3\n",
+    "loglin.csv": "t,y\n0,3\n1,1\n2,4\n3,0\n",
+    "parx.csv": "t,y,xi_1\n0,3,0.5\n1,1,nan\n2,4,0.1\n3,0,0.2\n",
+    "box.json": [1, 2],
+    "theta_list.json": [1],
+    "theta_hat_list.json": {**LOGLIN_THETA, "theta_hat": [1]},
+    "omega_string.json": {**LOGLIN_THETA, "theta_hat": {"omega": "x", "a1": 0.5, "b1": 0.3}},
+    "order_string.json": {**LOGLIN_THETA, "order": {"p": "x"}},
+    "parx_theta.json": {"family": "parx", "order": {"p": 1, "q": 1},
+                        "theta_hat": {"omega": 0.5, "a1": 0.3, "b1": 0.2, "gamma1": 0.3}},
+    "mc_burn_in.json": {**MC_CONFIG, "burn_in": -5},
+    "mc_fit_key.json": {**MC_CONFIG, "fit": {"starts": 2, "max_eval": 10}},
+}
+FORECAST = ("forecast", "--family", "loglin", "--data", "loglin.csv", "--theta-file")
+# argv, and a piece of the one error line
+ERROR_TABLE = {
+    "loglik_one_row": (("loglik", *LOGLIN_ARGS, "--data", "one.csv"), "two observations"),
+    "simulate_n_0": (("simulate", *LOGLIN_ARGS, "--n", "0"), "n must be >= 1"),
+    "simulate_negative_burn_in": (("simulate", *LOGLIN_ARGS, "--n", "10", "--burn-in", "-1"),
+                                  "burn_in must be >= 0"),
+    "fit_box_file_list": (("fit", "--family", "loglin", "--data", "loglin.csv",
+                           "--box-file", "box.json"), "bad box file box.json"),
+    "forecast_theta_file_list": ((*FORECAST, "theta_list.json"),
+                                 "theta file must be a JSON object"),
+    "forecast_theta_hat_list": ((*FORECAST, "theta_hat_list.json"),
+                                "theta file 'theta_hat' must be a JSON object"),
+    "forecast_omega_string": ((*FORECAST, "omega_string.json"), "convert string to float"),
+    "forecast_order_string": ((*FORECAST, "order_string.json"), "invalid literal for int()"),
+    "forecast_parx_nan": (("forecast", "--family", "parx", "--data", "parx.csv",
+                           "--theta-file", "parx_theta.json"), "covariates must be finite"),
+    "check_negative_depth": (("check", "--family", "loglin", "--omega", "0", "--a", "0.6", "-0.3",
+                              "--b", "0.2", "0.3", "--certificate-depth", "-3"),
+                             "certificate depth must be >= 0, got -3"),
+    "loglik_parx_nan": (("loglik", *PARX_ARGS, "--data", "parx.csv"),
+                        "parx.csv: line 3: covariates must be finite"),
+    "fit_parx_nan": (("fit", "--family", "parx", "--data", "parx.csv", "--guard-override"),
+                     "parx.csv: line 3: covariates must be finite"),
+    "mc_negative_burn_in": (("mc-consistency", "--config", "mc_burn_in.json"),
+                            "burn_in must be >= 0"),
+    "mc_unknown_fit_key": (("mc-consistency", "--config", "mc_fit_key.json"),
+                           "unknown 'fit' keys in config: ['max_eval']; allowed: "),
+}
 
 
 class TestCleanExits:
@@ -158,6 +207,17 @@ class TestCleanExits:
         argv = ["fit", "--family", "nbin", "--data", data, "--out-dir", str(out_dir)]
         argv += ["--pin", "omega=1", "--pin", "a1=2", "--pin", "b1=2", "--pin", "r=1"]
         assert "non-finite objective" in self.assert_usage_error(capsys, argv, out_dir)
+
+    @pytest.mark.parametrize("name", sorted(ERROR_TABLE))
+    def test_library_input_errors(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.chdir(tmp_path)
+        for fname, content in ERROR_FILES.items():
+            text = content if isinstance(content, str) else json.dumps(content)
+            (tmp_path / fname).write_text(text)
+        args, message = ERROR_TABLE[name]
+        if args[0] in ("simulate", "fit", "mc-consistency"):
+            args = (*args, "--out-dir", "out")
+        assert message in self.assert_usage_error(capsys, list(args), tmp_path / "out")
 
 
 class TestFitAndLoglik:

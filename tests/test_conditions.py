@@ -106,6 +106,12 @@ class TestCheckLoglin:
         with pytest.raises(CertificateBudgetError):
             check_loglin(spec, spec.params(0.0, [0.9], [0.5]), certificate_depth=25)
 
+    def test_negative_depth_rejected(self):
+        spec = loglin_spec(2, 2)
+        th = spec.params(0.0, [0.6, -0.3], [0.2, 0.3])
+        with pytest.raises(ValueError, match="certificate depth must be >= 0, got -3"):
+            check_loglin(spec, th, certificate_depth=-3)
+
     @pytest.mark.parametrize(
         "a,b,verdict",
         [

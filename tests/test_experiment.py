@@ -27,6 +27,8 @@ class TestConfigValidation:
             ExperimentConfig(spec=spec, theta_star=th, ns=(100, 100), replicates=2, seed=0)
         with pytest.raises(ValueError):
             ExperimentConfig(spec=spec, theta_star=th, ns=(100,), replicates=0, seed=0)
+        with pytest.raises(ValueError, match="burn_in must be >= 0"):
+            ExperimentConfig(spec=spec, theta_star=th, ns=(100,), replicates=2, seed=0, burn_in=-5)
 
 
 class TestReportShape:

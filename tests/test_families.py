@@ -8,11 +8,11 @@ from odmlab import rng as rngmod
 from odmlab.families import (
     ClampWarning,
     PredictiveDistribution,
+    bind_sampler,
     covariate_log_density,
     log_density,
     lnfact,
     predictive,
-    sample_observation,
 )
 from odmlab.model import (
     FEATURE_KINDS,
@@ -98,22 +98,22 @@ class TestSampling:
     def test_determinism(self):
         spec = nbin_spec()
         th = spec.params(1.0, [0.0], [0.0], r=2.0)
-        a = sample_observation(spec, th, 3.0, rngmod.substream(7, 0))
-        b = sample_observation(spec, th, 3.0, rngmod.substream(7, 0))
+        a = bind_sampler(spec, th, rngmod.substream(7, 0))(3.0)
+        b = bind_sampler(spec, th, rngmod.substream(7, 0))(3.0)
         assert a == b
 
     def test_poisson_underflow_mean(self):
         spec = loglin_spec()
         th = spec.params(0.0, [0.0], [0.0])
-        rng = rngmod.substream(1, 0)
-        assert all(sample_observation(spec, th, -700.0, rng) == 0 for _ in range(50))
+        draw = bind_sampler(spec, th, rngmod.substream(1, 0))
+        assert all(draw(-700.0) == 0 for _ in range(50))
 
     def test_nbin_moments(self):
         spec = nbin_spec()
         th = spec.params(1.0, [0.0], [0.0], r=2.0)
-        rng = rngmod.substream(123, 0)
+        draw = bind_sampler(spec, th, rngmod.substream(123, 0))
         n = 10**5
-        draws = np.array([sample_observation(spec, th, 3.0, rng) for _ in range(n)])
+        draws = np.array([draw(3.0) for _ in range(n)])
         var = 2.0 * 3.0 * 4.0  # r * x * (1 + x)
         assert abs(draws.mean() - 6.0) < 3.0 * math.sqrt(var / n)
 
@@ -127,9 +127,9 @@ class TestSampling:
             spec = nbin_spec()
             th = spec.params(1.0, [0.0], [0.0], r=2.0)
             x = 1.5
-        rng = rngmod.substream(99, 0)
+        draw = bind_sampler(spec, th, rngmod.substream(99, 0))
         n = 10**5
-        draws = np.array([sample_observation(spec, th, x, rng) for _ in range(n)])
+        draws = np.array([draw(x) for _ in range(n)])
         y_max = int(draws.max())
         counts = np.bincount(draws, minlength=y_max + 1).astype(float)
         probs = np.array([math.exp(log_density(spec, th, x, y)) for y in range(y_max + 1)])
