@@ -294,8 +294,10 @@ def cmd_forecast(args) -> int:
             f"family mismatch: theta file has {fitted.get('family')!r}, flags say {args.family!r}"
         )
     order = _json_object(fitted.get("order", {}), "theta file 'order'")
-    args.p = int(order.get("p", args.p))
-    args.q = int(order.get("q", args.q))
+    for key in ("p", "q"):  # int() parses a string; a number must be integral
+        value = order.get(key, getattr(args, key))
+        what = f"theta file order {key!r}"
+        setattr(args, key, int(value) if isinstance(value, str) else _json_int(value, what))
     spec = _build_spec_orders(args)
     names = param_names(spec)
     try:
@@ -303,6 +305,8 @@ def cmd_forecast(args) -> int:
         theta = unpack_params(spec, [theta_hat[name] for name in names])
     except KeyError as exc:
         raise CliError(f"theta file is missing coordinate {exc}") from exc
+    except TypeError as exc:  # e.g. a null where a number belongs
+        raise CliError(f"theta file 'theta_hat': {exc}") from exc
     series = series_from_csv(args.data, spec.family)
     z0 = default_initial_window(spec, series)
     dist = forecast_one_step(spec, theta, z0, series)
@@ -328,6 +332,21 @@ MC_FIT_KEYS = ("starts", "polish", "guard_override", "max_evals")
 def _json_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise CliError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise CliError(f"{what} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _fit_option(key: str, value):
+    """A config 'fit' value: a JSON boolean for a flag, an integer for a count."""
+    if not isinstance(getattr(FitOptions, key), bool):
+        return _json_int(value, f"config 'fit' {key!r}")
+    if not isinstance(value, bool):
+        raise CliError(f"config 'fit' {key!r} must be true or false, got {json.dumps(value)}")
     return value
 
 
@@ -370,10 +389,7 @@ def cmd_mc_consistency(args) -> int:
     unknown = sorted(set(fit_raw) - set(MC_FIT_KEYS))
     if unknown:
         raise CliError(f"unknown 'fit' keys in config: {unknown}; allowed: {list(MC_FIT_KEYS)}")
-    try:  # each value is cast to its default's type: int for the counts, bool for the flags
-        fit_opts = FitOptions(**{k: type(getattr(FitOptions, k))(v) for k, v in fit_raw.items()})
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad 'fit' in config: {exc}") from exc
+    fit_opts = FitOptions(**{k: _fit_option(k, v) for k, v in fit_raw.items()})
     try:
         config = ExperimentConfig(
             spec=spec,

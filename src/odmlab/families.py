@@ -5,7 +5,9 @@ The latent value parameterizes the count distribution: Poisson with mean e^x
 with mean x (PARX).  PARX additionally carries an autonomous Gaussian VAR(1)
 covariate kernel whose density does not depend on the model parameters, so
 it is excluded from the fitting objective by default and can be re-added for
-total log-likelihood reporting.
+total log-likelihood reporting.  Each family's scalar count log-density is
+written once, in the private term loop ``_log_terms``: the likelihood's
+sequential pass, :func:`log_density` and the forecast pmf all call it.
 """
 
 from __future__ import annotations
@@ -64,17 +66,6 @@ class PredictiveDistribution:
     mean: float
     r: Optional[float] = None
 
-    def log_pmf(self, y: int) -> float:
-        if y < 0 or y != int(y):
-            raise DomainError(f"counts must be nonnegative integers, got {y!r}")
-        y = int(y)
-        if self.kind == "poisson":
-            if self.mean == 0.0:
-                return 0.0 if y == 0 else -math.inf
-            return -self.mean + y * math.log(self.mean) - lnfact(y)
-        x = self.mean / self.r
-        return _nbin_log_pmf(self.r, x, y)
-
     def quantile(self, prob: float) -> int:
         """Smallest y with CDF(y) >= prob."""
         from scipy import stats  # slow to import, and only the forecast needs it
@@ -84,45 +75,73 @@ class PredictiveDistribution:
         return int(stats.nbinom.ppf(prob, self.r, 1.0 / (1.0 + x)))
 
     def pmf_values(self, y_max: int) -> np.ndarray:
-        return np.array([math.exp(self.log_pmf(y)) for y in range(y_max + 1)])
+        """P(Y = y) for y = 0..y_max."""
+        if not 0.0 <= self.mean < math.inf:
+            raise DomainError(f"predictive mean must be finite and >= 0, got {self.mean}")
+        ys = range(y_max + 1)
+        # Poisson(m) is the PARX law at x = m, and NB(r, m) the NBIN law at x = m / r
+        family, x = (PARX, self.mean) if self.kind == "poisson" else (NBIN, self.mean / self.r)
+        terms = _log_terms(family, self.r, [x] * len(ys), ys, [lnfact(y) for y in ys])[0]
+        return np.array([math.exp(t) for t in terms])
 
 
-def _nbin_log_pmf(r: float, x: float, y: int) -> float:
-    if x < 0.0:
-        raise DomainError(f"NBIN latent must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0 if y == 0 else -math.inf
-    return (
-        math.lgamma(r + y)
-        - lnfact(y)
-        - math.lgamma(r)
-        - r * math.log1p(x)
-        + y * math.log(x)
-        - y * math.log1p(x)
-    )
+def _log_terms(family: str, r, xs, ys, lnf, distinct=None):
+    """ln g(x_k; y_k) for each term in order: (terms, clamped, first clamped k or 0).
+
+    The one scalar copy of each family's count density; it never warns.
+    ``lnf`` holds ln(y_k!) and ``r`` the NBIN shape, whose count-only head is
+    computed once per value of ``distinct`` (default ``ys``).  Log-linear
+    clamps x to [CLAMP_LO, CLAMP_HI] and lets NaN through; NBIN and PARX give
+    -inf outside (0, inf), and 0 at x = 0 with y = 0.
+    """
+    terms = []
+    add = terms.append
+    clamped = first_clamped = 0
+    log, inf = math.log, math.inf
+    if family == LOGLIN:
+        exp = math.exp
+        for x, yk, lf in zip(xs, ys, lnf):
+            if not CLAMP_LO <= x <= CLAMP_HI and x == x:  # NaN passes through
+                clamped += 1
+                first_clamped = first_clamped or len(terms) + 1  # this term's k
+                x = CLAMP_LO if x < CLAMP_LO else CLAMP_HI
+            add(-exp(x) + yk * x - lf)
+    elif family == NBIN:
+        log1p = math.log1p
+        lgamma_r = math.lgamma(r)
+        # lgamma(r + y) - ln y! - lgamma(r), once per distinct count
+        head = {v: math.lgamma(r + v) - lnfact(int(v)) - lgamma_r for v in distinct or ys}
+        for x, yk in zip(xs, ys):
+            if 0.0 < x < inf:
+                l1 = log1p(x)
+                add(head[yk] - r * l1 + yk * log(x) - yk * l1)
+            else:
+                add(0.0 if x == 0.0 and yk == 0 else -inf)
+    else:  # PARX
+        for x, yk, lf in zip(xs, ys, lnf):
+            if 0.0 < x < inf:
+                add(-x + yk * log(x) - lf)
+            else:
+                add(0.0 if x == 0.0 and yk == 0 else -inf)
+    return terms, clamped, first_clamped
 
 
 def log_density(spec: ModelSpec, theta: ParameterVector, x: float, y: int) -> float:
     """ln g(x; y), the conditional count log-density at latent ``x``.
 
     For PARX this is the Poisson factor only; the covariate transition
-    density is parameter-free (see :func:`covariate_log_density`).  NBIN at
-    x = 0 with y > 0 returns -inf.
+    density is parameter-free (see :func:`covariate_log_density`).  NBIN and
+    PARX at x = 0 with y > 0, or at x = inf or NaN, return -inf.
     """
-    if y < 0 or y != int(y):
+    if not 0 <= y < math.inf or y % 1:  # NaN and inf fail before the %
         raise DomainError(f"counts must be nonnegative integers, got {y!r}")
     y = int(y)
     if spec.family == LOGLIN:
-        xc = _clamped(x)
-        return -math.exp(xc) + y * xc - lnfact(y)
-    if spec.family == NBIN:
-        return _nbin_log_pmf(theta.r, x, y)
-    # PARX: Poisson with mean x (x >= omega > 0 in-domain).
-    if x < 0.0:
-        raise DomainError(f"PARX intensity must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0 if y == 0 else -math.inf
-    return -x + y * math.log(x) - lnfact(y)
+        x = _clamped(x)
+    elif x < 0.0:
+        what = "NBIN latent" if spec.family == NBIN else "PARX intensity"
+        raise DomainError(f"{what} must be >= 0, got {x}")
+    return _log_terms(spec.family, theta.r, [x], [y], [lnfact(y)])[0][0]
 
 
 def covariate_log_density(spec: ModelSpec, xi_prev, xi_next):

@@ -5,8 +5,9 @@ initial window collected in d_k, the latents x_1..x_n solve the banded unit
 lower-triangular system x_k - sum_i a_i x_{k-i} = d_k; the first observation
 only conditions the recursion.  :func:`loglik` takes the latent path from
 the model's one sequential recursion (the same arithmetic as
-:func:`~odmlab.model.iterate_latent`), then evaluates the family's density
-at each term and sums the terms in order; that alone matches a brute-force
+:func:`~odmlab.model.iterate_latent`), then evaluates the family's count
+density at each term by the term loop in :mod:`odmlab.families` (its one
+scalar copy) and sums the terms in order; that alone matches a brute-force
 recomputation to 1e-12 absolute on explosive log-linear totals (up to 1e96).
 A private vectorized kernel solves the system with LAPACK ``dtbtrs`` and
 gets the gradient from one transposed solve for the adjoint weights; the
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 from scipy.special import digamma, gammaln
 
-from .families import CLAMP_HI, CLAMP_LO, ClampWarning, covariate_log_density, lnfact
+from .families import CLAMP_HI, CLAMP_LO, ClampWarning, _log_terms, covariate_log_density, lnfact
 from .model import (
     LOGLIN,
     NBIN,
@@ -148,48 +149,17 @@ def _loglik_prepared(
 ) -> LikelihoodValue:
     n = prep.n
     xs = prep.latent_path(theta, n)
-    ys, lnf = prep.y.tolist(), prep.lnf.tolist()
-    terms = []
-    add = terms.append
-    clamped = first_clamped = 0
-    log = math.log
-    inf = math.inf
-    if spec.family == LOGLIN:
-        exp = math.exp
-        for x, yk, lf in zip(xs, ys, lnf):
-            if not CLAMP_LO <= x <= CLAMP_HI and x == x:  # NaN passes through
-                clamped += 1
-                first_clamped = first_clamped or len(terms) + 1  # this term's k
-                x = CLAMP_LO if x < CLAMP_LO else CLAMP_HI
-            add(-exp(x) + yk * x - lf)
-    elif spec.family == NBIN:
-        r = theta.r
-        log1p = math.log1p
-        lgamma_r = math.lgamma(r)
-        # Per distinct count: lgamma(r + y) - ln y! - lgamma(r), associated
-        # exactly as in families.log_density.
-        vals = prep.counts[0].tolist()
-        head = {v: math.lgamma(r + v) - lnfact(int(v)) - lgamma_r for v in vals}
-        for x, yk in zip(xs, ys):
-            if 0.0 < x < inf:
-                l1 = log1p(x)
-                add(head[yk] - r * l1 + yk * log(x) - yk * l1)
-            else:
-                add(0.0 if x == 0.0 and yk == 0 else -inf)
-    else:  # PARX
-        for x, yk, lf in zip(xs, ys, lnf):
-            if 0.0 < x < inf:
-                add(-x + yk * log(x) - lf)
-            else:
-                add(0.0 if x == 0.0 and yk == 0 else -inf)
-
+    distinct = prep.counts and prep.counts[0].tolist()  # NBIN only
+    terms, clamped, first_clamped = _log_terms(
+        spec.family, theta.r, xs, prep.y.tolist(), prep.lnf.tolist(), distinct
+    )
     values = np.array(terms)
     if include_covariate_density:
         values += covariate_log_density(spec, prep.covariates[:-1], prep.covariates[1:])
     finite = np.isfinite(values)
     bad = None if finite.all() else int(finite.argmin()) + 1
     # np.cumsum adds in order, so its last entry is the sequential sum
-    total = -inf if bad else float(np.cumsum(values)[-1])
+    total = -math.inf if bad else float(np.cumsum(values)[-1])
     if clamped:
         warnings.warn(
             f"{clamped} of {n} latent values clamped to [{CLAMP_LO:.0f}, {CLAMP_HI:.0f}] "

@@ -138,7 +138,13 @@ ERROR_FILES = {
     "order_string.json": {**LOGLIN_THETA, "order": {"p": "x"}},
     "parx_theta.json": {"family": "parx", "order": {"p": 1, "q": 1},
                         "theta_hat": {"omega": 0.5, "a1": 0.3, "b1": 0.2, "gamma1": 0.3}},
+    "omega_null.json": {**LOGLIN_THETA, "theta_hat": {"omega": None, "a1": 0.5, "b1": 0.3}},
+    "order_fraction.json": {**LOGLIN_THETA, "order": {"p": 1.7, "q": 1}},
     "mc_burn_in.json": {**MC_CONFIG, "burn_in": -5},
+    "mc_polish_string.json": {**MC_CONFIG, "fit": {"starts": 2, "polish": "false"}},
+    "mc_guard_string.json": {**MC_CONFIG, "fit": {"starts": 2, "guard_override": "no"}},
+    "mc_starts_fraction.json": {**MC_CONFIG, "fit": {"starts": 2.7}},
+    "mc_starts_bool.json": {**MC_CONFIG, "fit": {"starts": True}},
     "mc_fit_key.json": {**MC_CONFIG, "fit": {"starts": 2, "max_eval": 10}},
 }
 FORECAST = ("forecast", "--family", "loglin", "--data", "loglin.csv", "--theta-file")
@@ -156,6 +162,10 @@ ERROR_TABLE = {
                                 "theta file 'theta_hat' must be a JSON object"),
     "forecast_omega_string": ((*FORECAST, "omega_string.json"), "convert string to float"),
     "forecast_order_string": ((*FORECAST, "order_string.json"), "invalid literal for int()"),
+    "forecast_omega_null": ((*FORECAST, "omega_null.json"),
+                            "theta file 'theta_hat': float() argument must be"),
+    "forecast_order_fraction": ((*FORECAST, "order_fraction.json"),
+                                "theta file order 'p' must be an integer, got 1.7"),
     "forecast_parx_nan": (("forecast", "--family", "parx", "--data", "parx.csv",
                            "--theta-file", "parx_theta.json"), "covariates must be finite"),
     "check_negative_depth": (("check", "--family", "loglin", "--omega", "0", "--a", "0.6", "-0.3",
@@ -167,6 +177,14 @@ ERROR_TABLE = {
                      "parx.csv: line 3: covariates must be finite"),
     "mc_negative_burn_in": (("mc-consistency", "--config", "mc_burn_in.json"),
                             "burn_in must be >= 0"),
+    "mc_polish_string": (("mc-consistency", "--config", "mc_polish_string.json"),
+                         "config 'fit' 'polish' must be true or false, got \"false\""),
+    "mc_guard_override_string": (("mc-consistency", "--config", "mc_guard_string.json"),
+                                 "config 'fit' 'guard_override' must be true or false, got \"no\""),
+    "mc_starts_fraction": (("mc-consistency", "--config", "mc_starts_fraction.json"),
+                           "config 'fit' 'starts' must be an integer, got 2.7"),
+    "mc_starts_bool": (("mc-consistency", "--config", "mc_starts_bool.json"),
+                       "config 'fit' 'starts' must be an integer, got true"),
     "mc_unknown_fit_key": (("mc-consistency", "--config", "mc_fit_key.json"),
                            "unknown 'fit' keys in config: ['max_eval']; allowed: "),
 }
@@ -424,6 +442,12 @@ PINNED_FIT_JSON = {
     "require_stable": "511290694800c4ce1323e15fbf697c07df76d6d740f66acfaa932f14a5222e93",
     "starts4": "3f778963ea852a7586423599ddfd53758785b360b5de51d0db47d26c97e80e7d",
 }
+# forecast stdout at the FORECAST_CASES theta on a series simulated by SIM_ARGS
+PINNED_FORECAST_STDOUT = {
+    "loglin": "4dda8ceaa0b4775f8ef87ac25fdbe68a07336c453d30941fb49786b6ab2b55be",
+    "nbin": "f5a0a53c26964e8b7fb0fbccc7555430060f7da2c6d322f4d2d34b683e740897",
+    "parx": "40389dda2b78c4d936f37705b48511586400a09ba9ce72b184258daab8ef4465",
+}
 PINNED_MC = {
     "consistency.json": "f9187dc6101b17971130d764d508305d4d48515140cfb57faf23d038df80e194",
     "consistency.tsv": "cb94f9d0119de41b3f2a837f31b41d24050e07844e6510589fbb218fb8ade561",
@@ -441,6 +465,17 @@ FIT_ARGS = {
     "not_converged": ("--family", "loglin", "--max-evals", "4", "--no-polish"),
 }
 
+SIM_ARGS = {
+    "loglin": ("--family", "loglin", "--omega", "0.1", "--a", "0.5", "--b", "0.3"),
+    "nbin": ("--family", "nbin", "--omega", "1", "--a", "0.3", "--b", "0.2", "--r", "2"),
+    "parx": PARX_ARGS,
+}
+FORECAST_CASES = {
+    "loglin": {"omega": 0.15, "a1": 0.45, "b1": 0.3},
+    "nbin": {"omega": 0.9, "a1": 0.35, "b1": 0.2, "r": 2.5},
+    "parx": {"omega": 0.6, "a1": 0.25, "b1": 0.2, "gamma1": 0.2},
+}
+
 
 class TestPinnedOutputs:
     @pytest.mark.parametrize("name", sorted(CHECK_ARGS))
@@ -456,3 +491,16 @@ class TestPinnedOutputs:
         proc = run_cli("fit", *FIT_ARGS[name], "--data", data, "--out", str(out))
         assert proc.returncode in (0, 3), proc.stderr
         assert _sha256(out.read_bytes()) == PINNED_FIT_JSON[name]
+
+    @pytest.mark.parametrize("family", sorted(FORECAST_CASES))
+    def test_forecast_stdout(self, tmp_path, family):
+        data = str(tmp_path / "series.csv")
+        proc = run_cli("simulate", *SIM_ARGS[family], "--n", "200", "--seed", "13", "--out", data)
+        assert proc.returncode == 0, proc.stderr
+        theta_file = tmp_path / "theta.json"
+        theta_file.write_text(json.dumps({"family": family, "order": {"p": 1, "q": 1},
+                                          "theta_hat": FORECAST_CASES[family]}))
+        proc = run_cli("forecast", "--family", family, "--data", data,
+                       "--theta-file", str(theta_file))
+        assert proc.returncode == 0, proc.stderr
+        assert _sha256(proc.stdout.encode()) == PINNED_FORECAST_STDOUT[family]

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +32,14 @@ import oracles
 from test_model import loglin_spec, nbin_spec, parx_spec
 
 
+def family_cases():
+    return {
+        "loglin": (loglin_spec(), loglin_spec().params(0.0, [0.0], [0.0])),
+        "nbin": (nbin_spec(), nbin_spec().params(1.0, [0.0], [0.0], r=2.5)),
+        "parx": (parx_spec(), parx_spec().params(0.5, [0.3], [0.2], gamma=[0.3, 0.1])),
+    }
+
+
 class TestLogDensity:
     def test_loglin_at_zero(self):
         spec = loglin_spec()
@@ -58,6 +68,29 @@ class TestLogDensity:
         th = spec.params(0.0, [0.0], [0.0])
         with pytest.raises(DomainError):
             log_density(spec, th, 0.0, -1)
+
+    @pytest.mark.parametrize("y", [math.inf, math.nan, np.float64("inf"), 2.5, -1],
+                             ids=["inf", "nan", "np-inf", "2.5", "-1"])
+    @pytest.mark.parametrize("family", ["loglin", "nbin", "parx"])
+    def test_bad_count_is_domain_error(self, family, y):
+        spec, th = family_cases()[family]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="counts must be nonnegative integers"):
+                log_density(spec, th, 1.0, y)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    @pytest.mark.parametrize("family", ["nbin", "parx"])
+    def test_non_finite_latent_is_minus_inf(self, family, x):
+        # the likelihood pass's rule: NBIN and PARX are -inf outside (0, inf)
+        spec, th = family_cases()[family]
+        assert [log_density(spec, th, x, y) for y in (0, 3)] == [-math.inf, -math.inf]
+
+    @pytest.mark.parametrize("family, what", [("nbin", "NBIN latent"), ("parx", "PARX intensity")])
+    def test_negative_latent_rejected(self, family, what):
+        spec, th = family_cases()[family]
+        with pytest.raises(DomainError, match=f"{what} must be >= 0, got -0.5"):
+            log_density(spec, th, -0.5, 1)
 
     def test_clamp_warns(self):
         spec = loglin_spec()
@@ -238,8 +271,49 @@ class TestPredictive:
         dist = predictive(spec, th, 3.0)
         assert dist.kind == "negbinomial" and dist.mean == 6.0
 
+    @pytest.mark.parametrize("mean", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("kind", ["poisson", "negbinomial"])
+    def test_bad_mean_rejected(self, kind, mean):
+        dist = PredictiveDistribution(kind=kind, mean=mean, r=2.0)
+        with pytest.raises(DomainError, match=f"mean must be finite and >= 0, got {mean}"):
+            dist.pmf_values(2)
+
     def test_truncated_pmf_mass(self):
         dist = PredictiveDistribution(kind="negbinomial", mean=6.0, r=2.0)
         y_max = dist.quantile(1.0 - 1e-12)
         mass = math.fsum(dist.pmf_values(y_max))
         assert abs(mass - 1.0) < 1e-10
+
+
+def _digest(values):
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+# sha256 of repr of the values: the count law's bits on a fixed grid.  The
+# grid holds the latent 0 with and without a count (NBIN, PARX) and latents
+# clamped on both sides (log-linear).
+PINNED_DENSITY_DIGEST = "2323755410fb9fdb096ce6dc0a8a377d90313e76ee7bdf896934af74d72fb993"
+PINNED_PMF_DIGEST = "831d54759fc0ab25d84eca13718d2cec27fc4b72ea445ed83726f9ea0cf3429f"
+DENSITY_COUNTS = (0, 1, 2, 3, 7, 17, 256, 300)
+DENSITY_LATENTS = {
+    "loglin": (-800.0, -745.5, -3.25, -0.0, 0.0, 0.7, 2.0, 699.5, 800.0),
+    "nbin": (0.0, 1e-300, 0.03, 0.3, 2.0, 17.5, 1e6),
+    "parx": (0.0, 1e-300, 0.4, 3.0, 250.0),
+}
+
+
+class TestPinnedLaw:
+    def test_log_density_grid(self):
+        out = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClampWarning)
+            for fam, (spec, th) in family_cases().items():
+                out += [log_density(spec, th, x, y)
+                        for x in DENSITY_LATENTS[fam] for y in DENSITY_COUNTS]
+        assert _digest(out) == PINNED_DENSITY_DIGEST
+
+    def test_pmf_values(self):
+        dists = [PredictiveDistribution(kind="poisson", mean=m) for m in (0.0, 0.3, 4.5, 25.0)]
+        dists += [PredictiveDistribution(kind="negbinomial", mean=m, r=r)
+                  for m in (0.0, 0.7, 6.0) for r in (0.8, 2.0, 13.5)]
+        assert _digest([d.pmf_values(40).tolist() for d in dists]) == PINNED_PMF_DIGEST

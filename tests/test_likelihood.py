@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import warnings
@@ -137,6 +138,53 @@ class TestLoglikValues:
         with pytest.raises(ValueError):
             loglik(spec, th, zero_window(spec), ObservationSeries(y=(0, 0)),
                    include_covariate_density=True)
+
+
+
+def _pinned_term_cases():
+    l11, l22, n11, x11 = loglin_spec(), loglin_spec(2, 2), nbin_spec(), parx_spec(1, 1)
+    return {
+        "loglin11": (l11, l11.params(0.1, [0.5], [0.3]), l11.params(0.15, [0.45], [0.3])),
+        "loglin22": (l22, l22.params(0.1, [0.3, 0.2], [0.2, 0.1]),
+                     l22.params(0.05, [0.35, 0.15], [0.25, 0.1])),
+        "nbin11": (n11, n11.params(1.0, [0.3], [0.2], r=2.0),
+                   n11.params(0.9, [0.35], [0.2], r=2.5)),
+        "parx11": (x11, x11.params(0.5, [0.3], [0.2], gamma=[0.3, 0.1]),
+                   x11.params(0.6, [0.25], [0.2], gamma=[0.2, 0.15])),
+    }
+
+
+def _terms_digest(val):
+    return hashlib.sha256(repr(val.per_term).encode()).hexdigest()
+
+
+# sha256 of repr(per_term): every term's bits, not only their sum; the
+# series are simulated at the first parameters and scored at the second
+PINNED_TERM_DIGESTS = {
+    "clamped": "f5edd4d4a6cfa91f4b2b4357c7a11849b47babb353a5f75b36fe15c52d7be801",
+    "loglin11": "fa280698c1a41966a8b7453423ef61b0e7ca7f891f6151b4ed82c21384933302",
+    "loglin22": "5a7877c3bf6ae2afd7dabdeb9c21b1ef450690c5340bbf31d12f893502879b06",
+    "nbin11": "6bfabd44e473735be8d0e6b10cd9653c41f1eb10aecda3ef0136af3c05def524",
+    "parx11": "12bf0ef8f31484804c647ad8b526a78a5bcbfee4a583556ad93bc4e5926ab55c",
+}
+
+
+class TestPinnedTerms:
+    @pytest.mark.parametrize("name", sorted(_pinned_term_cases()))
+    def test_digest(self, name):
+        spec, th_sim, th = _pinned_term_cases()[name]
+        series = simulate_series(spec, th_sim, SimConfig(n=400, burn_in=100, seed=47)).series
+        val = loglik(spec, th, default_initial_window(spec, series), series)
+        assert _terms_digest(val) == PINNED_TERM_DIGESTS[name]
+
+    def test_clamped_series(self):
+        # the series of test_clamping_counted_and_warned_once
+        spec = loglin_spec()
+        th = spec.params(0.0, [2.0], [0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            val = loglik(spec, th, LatentWindow(x=(1.0,), u=()), ObservationSeries(y=(1,) * 30))
+        assert _terms_digest(val) == PINNED_TERM_DIGESTS["clamped"]
 
 
 class TestParxObjectiveSplit:
