@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
 
 from .conditions import check_identifiable, check_model
 from .experiment import ExperimentConfig, run_mc_consistency
@@ -125,14 +126,12 @@ def _build_spec_orders(args) -> ModelSpec:
 
 
 def series_to_csv(series: ObservationSeries) -> str:
-    r_dim = len(series.covariates[0]) if series.covariates is not None else 0
+    r_dim = 0 if series.covariates is None else series.covariates.shape[1]
     header = "t,y" + "".join(f",xi_{j}" for j in range(1, r_dim + 1))
     lines = [header]
-    for t, y in enumerate(series.y):
-        row = f"{t},{y}"
-        if r_dim:
-            row += "".join(f",{v!r}" for v in series.covariates[t])
-        lines.append(row)
+    rows = series.covariates.tolist() if r_dim else repeat(())
+    for t, (y, row) in enumerate(zip(series.y.tolist(), rows)):
+        lines.append(f"{t},{int(y)}" + "".join(f",{v!r}" for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -178,10 +177,10 @@ def series_from_csv(path: str, family: str) -> ObservationSeries:
     if family == PARX:
         if not xi_cols:
             raise CliError(f"{path}: PARX data needs xi_1..xi_r columns")
-        return ObservationSeries(y=tuple(ys), covariates=tuple(xis))
+        return ObservationSeries(y=ys, covariates=xis)
     if xi_cols:
         raise CliError(f"{path}: family {family!r} takes no covariate columns")
-    return ObservationSeries(y=tuple(ys))
+    return ObservationSeries(y=ys)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -302,7 +301,12 @@ def cmd_forecast(args) -> int:
     names = param_names(spec)
     try:
         theta_hat = _json_object(fitted["theta_hat"], "theta file 'theta_hat'")
-        theta = unpack_params(spec, [theta_hat[name] for name in names])
+        values = [theta_hat[name] for name in names]
+        for name, value in zip(names, values):  # float() would read true as 1.0
+            if isinstance(value, bool):
+                raise CliError(f"theta file 'theta_hat' {name!r} must be a number, got "
+                               f"{json.dumps(value)}")
+        theta = unpack_params(spec, values)
     except KeyError as exc:
         raise CliError(f"theta file is missing coordinate {exc}") from exc
     except TypeError as exc:  # e.g. a null where a number belongs

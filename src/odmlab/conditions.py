@@ -158,10 +158,13 @@ def _certificate_search(apad, bpad, q: int, max_depth: int):
     prods = np.zeros((hist.size, s, s))
     prods[:, 0, :] = top_rows(hist)
     prods[:, 1:, :-1] = np.eye(s - 1)
+    # norms[i, r]: the absolute sum of row r of product i; a child's rows
+    # 1..s-1 are its parent's rows 0..s-2, so only the new top row is summed
+    norms = np.abs(prods).sum(axis=2)
 
     best = math.inf
     for depth in range(max_depth + 1):
-        level_max = float(np.max(np.abs(prods).sum(axis=2).max(axis=1)))
+        level_max = float(norms.max())
         best = min(best, level_max)
         if level_max < 1.0:
             return depth, best
@@ -172,10 +175,13 @@ def _certificate_search(apad, bpad, q: int, max_depth: int):
         hist = np.concatenate([hist << 1, hist << 1 | 1])
         rows = top_rows(hist)
         new_prods = np.empty((2 * n, s, s))
+        new_norms = np.empty((2 * n, s))
         for block in (slice(0, n), slice(n, 2 * n)):
             new_prods[block, 0, :] = np.einsum("nj,njk->nk", rows[block], prods)
             new_prods[block, 1:, :] = prods[:, :-1, :]
-        prods = new_prods
+            new_norms[block, 1:] = norms[:, :-1]
+        new_norms[:, 0] = np.abs(new_prods[:, 0, :]).sum(axis=1)
+        prods, norms = new_prods, new_norms
     return None, best
 
 

@@ -44,6 +44,7 @@ from .model import (
     ModelSpec,
     ObservationSeries,
     ParameterVector,
+    _count_mean,
     default_initial_window,
     iterate_latent,  # unused here; bench/tracing.py wraps odmlab.fit.iterate_latent
     pack_params,
@@ -218,14 +219,14 @@ def _quasi_random_points(dim: int, count: int) -> np.ndarray:
 
 def _data_informed_start(spec: ModelSpec, series: ObservationSeries, box: ThetaBox) -> np.ndarray:
     p, q = spec.p, spec.q
-    ybar = sum(series.y) / len(series.y)
+    ybar = _count_mean(series)
     if spec.family == LOGLIN:
         a = [0.2 / p] * p
         b = [0.2 / q] * q
         omega = math.log1p(ybar) * (1.0 - sum(a) - sum(b))
         vec = [omega, *a, *b]
     elif spec.family == NBIN:
-        yvar = float(np.var(np.asarray(series.y, dtype=float)))
+        yvar = float(np.var(series.y))
         xbar = max(yvar / max(ybar, 1e-6) - 1.0, 0.1)
         r0 = max(ybar / xbar, 1e-2)
         a = [0.2 / p] * p

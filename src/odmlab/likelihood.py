@@ -115,7 +115,7 @@ def _prepare(
         raise ValueError("need at least two observations (n >= 1 likelihood terms)")
     # ln y! and the loglin u once per distinct count; u by math.log1p, which
     # np.log1p does not match bit for bit
-    vals, inv = np.unique(np.asarray(series.y, dtype=float), return_inverse=True)
+    vals, inv = np.unique(series.y, return_inverse=True)
     u = np.array([math.log1p(v) for v in vals.tolist()])[inv] if fam == LOGLIN else vals[inv]
     lnf = np.array([lnfact(int(v)) for v in vals.tolist()])[inv[1:]]
     counts = None
@@ -125,7 +125,7 @@ def _prepare(
     xw0, uw0 = _scalar_window(spec, z_init)
     feats = cov = None
     if fam == PARX:
-        cov = np.asarray(series.covariates, dtype=float)
+        cov = series.covariates
         feats = np.column_stack(list(map(_feature_value, spec.parx.feature_kinds, cov.T)))
     xext = np.concatenate((np.asarray(xw0, dtype=float), np.zeros(n)))  # x_{1-p}..x_0, 0, ...
     uext = np.concatenate((np.asarray(uw0, dtype=float), u[:n]))  # u_{1-q}..u_{n-1}

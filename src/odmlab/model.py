@@ -269,23 +269,65 @@ def validate_window(spec: ModelSpec, z: LatentWindow) -> None:
                 raise DomainError("PARX reduced entries must be (y >= 0, features, xi)")
 
 
-@dataclass(frozen=True)
-class ObservationSeries:
-    """Counts ``y_0..y_n`` plus, for PARX only, aligned covariate rows."""
+def _frozen(values, ndim: int, what: str) -> np.ndarray:
+    """``values`` as a read-only float64 array of ``ndim`` dimensions.
 
-    y: tuple[int, ...]
-    covariates: Optional[tuple[tuple[float, ...], ...]] = None
+    A read-only float64 array is kept as it is, so a simulated series is never
+    copied; anything else is converted into a fresh array.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and not values.flags.writeable):
+        try:
+            values = np.asarray(values)
+            if values.dtype.kind not in "biufO":  # strings are not numbers here
+                raise TypeError(f"dtype {values.dtype}")
+            values = values.astype(np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"{what} must be numbers with a float64 form: {exc}") from None
+        values.flags.writeable = False
+    if values.ndim != ndim:
+        raise ValueError(f"{what} must have {ndim} dimension(s), got shape {values.shape}")
+    return values
+
+
+def _same(u, v) -> bool:
+    """Exact equality of two optional arrays: same dtype, shape and values."""
+    if u is None or v is None:
+        return u is v
+    return u.dtype == v.dtype and np.array_equal(u, v)
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationSeries:
+    """Counts ``y_0..y_n`` plus, for PARX only, aligned covariate rows.
+
+    Both are stored as read-only float64 arrays: ``y`` of shape (n + 1,) and
+    ``covariates`` of shape (n + 1, r).  A read-only float64 array is stored
+    without a copy; other input is converted.  Equality is exact and
+    compares dtypes too.
+    """
+
+    y: np.ndarray
+    covariates: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if len(self.y) < 1:
+        y = _frozen(self.y, 1, "counts")
+        object.__setattr__(self, "y", y)
+        if y.size < 1:
             raise ValueError("series must contain at least one observation")
-        for v in self.y:
-            if not 0 <= v < math.inf or v % 1:  # NaN and inf fail before the %
-                raise DomainError(f"counts must be nonnegative integers, got {v!r}")
-        if self.covariates is not None and len(self.covariates) != len(self.y):
-            raise ValueError(
-                f"{len(self.covariates)} covariate rows for {len(self.y)} observations"
-            )
+        ok = (y >= 0.0) & (y < math.inf) & (np.floor(y) == y)  # NaN fails; % 1 warns on inf
+        if not ok.all():
+            raise DomainError(f"counts must be nonnegative integers, got {y[ok.argmin()].item()!r}")
+        if self.covariates is not None:
+            cov = _frozen(self.covariates, 2, "covariates")
+            object.__setattr__(self, "covariates", cov)
+            if len(cov) != y.size:
+                raise ValueError(f"{len(cov)} covariate rows for {y.size} observations")
+
+    def __eq__(self, other):
+        if not isinstance(other, ObservationSeries):
+            return NotImplemented
+        return _same(self.y, other.y) and _same(self.covariates, other.covariates)
 
     @property
     def n(self) -> int:
@@ -294,13 +336,10 @@ class ObservationSeries:
 
 
 def check_series(spec: ModelSpec, series: ObservationSeries) -> None:
-    if spec.family == PARX:
-        if series.covariates is None:
-            raise DomainError("PARX series requires covariate rows")
-        if any(len(row) != spec.parx.r_dim for row in series.covariates):
-            raise DomainError(f"covariate rows must have length {spec.parx.r_dim}")
-    elif series.covariates is not None:
-        raise DomainError(f"family {spec.family!r} takes no covariates")
+    want = spec.parx.r_dim if spec.family == PARX else 0
+    got = 0 if series.covariates is None else series.covariates.shape[1]
+    if got != want:
+        raise DomainError(f"family {spec.family!r} takes {want} covariate columns, got {got}")
 
 
 # --- reductions and link steps ------------------------------------------------
@@ -452,6 +491,16 @@ def constant_window(spec: ModelSpec, x1, y1, xi1=None) -> LatentWindow:
     return LatentWindow(x=(float(x1),) * spec.p, u=(u1,) * (spec.q - 1))
 
 
+def _count_mean(series: ObservationSeries) -> float:
+    """The mean count, with the bits of the Python integer sum over the length.
+
+    While the total is below 2^53, every partial sum of the counts is an
+    integer that float64 holds exactly, so numpy's summation order does not
+    matter and the division is the one rounding.
+    """
+    return float(series.y.sum()) / series.y.size
+
+
 def default_initial_window(spec: ModelSpec, series: ObservationSeries) -> LatentWindow:
     """Data-scaled starting window for likelihood evaluation.
 
@@ -463,7 +512,7 @@ def default_initial_window(spec: ModelSpec, series: ObservationSeries) -> Latent
     check_series(spec, series)
     if spec.family == LOGLIN:
         return constant_window(spec, 0.0, 0)
-    x1 = max(sum(series.y) / len(series.y), 1e-6)
+    x1 = max(_count_mean(series), 1e-6)
     if spec.family == NBIN:
         return constant_window(spec, x1, series.y[0])
     return constant_window(spec, x1, series.y[0], xi1=series.covariates[0])

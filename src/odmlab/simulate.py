@@ -37,6 +37,7 @@ from .model import (
     ParxConfig,
     _affine,
     _feature_value,
+    _same,
     _scalar_window,
     constant_window,
     validate_params,
@@ -65,11 +66,23 @@ class SimConfig:
             raise ValueError("burn_in must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult:
+    """A simulated series with its latents x_0..x_n (PARX: the intensities).
+
+    ``latents`` is a read-only float64 array.  Equality is exact and
+    compares dtypes too.
+    """
+
     series: ObservationSeries
-    latents: tuple[float, ...]  # x_0..x_n (intensity component for PARX)
+    latents: np.ndarray
     seed: int
+
+    def __eq__(self, other):
+        if not isinstance(other, SimResult):
+            return NotImplemented
+        return (self.seed == other.seed and self.series == other.series
+                and _same(self.latents, other.latents))
 
 
 def default_simulation_window(spec: ModelSpec, theta: ParameterVector) -> LatentWindow:
@@ -112,26 +125,28 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
     validate_params(spec, theta)
     z0 = cfg.z_init if cfg.z_init is not None else default_simulation_window(spec, theta)
     validate_window(spec, z0)
-    burn_in = cfg.burn_in
-    steps = burn_in + cfg.n + 1
+    burn_in, n = cfg.burn_in, cfg.n
+    steps = burn_in + n + 1
     draw = bind_sampler(spec, theta, rngmod.substream(cfg.seed, rngmod.OBSERVATION))
     omega, a, b, gamma = theta.omega, theta.a, theta.b, theta.gamma or ()
     loglin = spec.family == LOGLIN
     limit = EXPLOSION_LOGLIN if loglin else EXPLOSION_OTHER
     lo = -limit if loglin else 0.0
     log1p = math.log1p
-    ys: list[int] = []
-    xs: list[float] = []
-    keep_y, keep_x = ys.append, xs.append
+    ys, xs = np.empty(n + 1), np.empty(n + 1)
+    # item assignment through a memoryview: the cheapest store of one number
+    keep_y, keep_x = memoryview(ys), memoryview(xs)
     xw, uw = _scalar_window(spec, z0)
     covariates = None
     feats = repeat(())
     if spec.family == PARX:
         px = spec.parx
         noise = rngmod.substream(cfg.seed, rngmod.COVARIATE).standard_normal((steps, px.r_dim))
-        cols = covariate_path(px, z0.x[-1][1], px.sigma * noise).T.tolist()
+        path = covariate_path(px, z0.x[-1][1], px.sigma * noise)
         del noise
-        covariates = tuple(zip(*[c[burn_in:] for c in cols]))
+        covariates = path[burn_in:]
+        covariates.flags.writeable = False
+        cols = path.T.tolist()
         feats = zip(*[map(partial(_feature_value, k), c) for k, c in zip(px.feature_kinds, cols)])
     # p = q = 1 without gamma steps x in a local: _affine's additions in
     # _affine's order, inlined, as in _latent_path
@@ -139,16 +154,16 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
     a1, b1 = a[0], b[0]
     x = xw[-1]
     step, observe = xw.append, uw.append
-    for t in range(steps):
+    for k in range(-burn_in, n + 1):  # k = t - burn_in at step t
         if not lo <= x <= limit:
-            raise _explosion(x, limit, t)
+            raise _explosion(x, limit, k + burn_in)
         try:
             y = draw(x)
         except DomainError as exc:
-            raise LatentExplosionError(f"at step {t}: {exc}") from exc
-        if t >= burn_in:
-            keep_y(y)
-            keep_x(x)
+            raise LatentExplosionError(f"at step {k + burn_in}: {exc}") from exc
+        if k >= 0:
+            keep_y[k] = y
+            keep_x[k] = x
         u = log1p(y) if loglin else y
         if fast:
             x = omega + a1 * x + b1 * u
@@ -158,8 +173,9 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
             step(x)
             del xw[0]
             del uw[0]
-    series = ObservationSeries(y=tuple(ys), covariates=covariates)
-    return SimResult(series=series, latents=tuple(xs), seed=cfg.seed)
+    ys.flags.writeable = xs.flags.writeable = False
+    series = ObservationSeries(y=ys, covariates=covariates)
+    return SimResult(series=series, latents=xs, seed=cfg.seed)
 
 
 @dataclass(frozen=True)
@@ -195,8 +211,7 @@ def stationary_moment_estimate(
             stacklevel=2,
         )
     sim = simulate_series(spec, theta, SimConfig(n=n - 1, burn_in=burn_in, seed=seed))
-    xs = np.asarray(sim.latents, dtype=float)
-    ys = np.asarray(sim.series.y, dtype=float)
+    xs, ys = sim.latents, sim.series.y
     length = (n // batches) * batches
     bx = xs[:length].reshape(batches, -1).mean(axis=1)
     by = ys[:length].reshape(batches, -1).mean(axis=1)

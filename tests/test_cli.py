@@ -139,6 +139,7 @@ ERROR_FILES = {
     "parx_theta.json": {"family": "parx", "order": {"p": 1, "q": 1},
                         "theta_hat": {"omega": 0.5, "a1": 0.3, "b1": 0.2, "gamma1": 0.3}},
     "omega_null.json": {**LOGLIN_THETA, "theta_hat": {"omega": None, "a1": 0.5, "b1": 0.3}},
+    "omega_bool.json": {**LOGLIN_THETA, "theta_hat": {"omega": True, "a1": 0.5, "b1": 0.3}},
     "order_fraction.json": {**LOGLIN_THETA, "order": {"p": 1.7, "q": 1}},
     "mc_burn_in.json": {**MC_CONFIG, "burn_in": -5},
     "mc_polish_string.json": {**MC_CONFIG, "fit": {"starts": 2, "polish": "false"}},
@@ -164,6 +165,8 @@ ERROR_TABLE = {
     "forecast_order_string": ((*FORECAST, "order_string.json"), "invalid literal for int()"),
     "forecast_omega_null": ((*FORECAST, "omega_null.json"),
                             "theta file 'theta_hat': float() argument must be"),
+    "forecast_omega_bool": ((*FORECAST, "omega_bool.json"),
+                            "theta file 'theta_hat' 'omega' must be a number, got true"),
     "forecast_order_fraction": ((*FORECAST, "order_fraction.json"),
                                 "theta file order 'p' must be an integer, got 1.7"),
     "forecast_parx_nan": (("forecast", "--family", "parx", "--data", "parx.csv",

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,21 @@ class TestCheckLoglin:
         assert digest.hexdigest() == (
             "7bdaebfc044396baec1b214f3a556b0fc2163a61924cab79abfd2ac0344a5d0c"
         )
+
+    def test_deepest_search_peak_memory(self):
+        # loglin(8,8) at its default depth 8 certifies only at the deepest
+        # level, 2^16 products of 8 x 8 floats (32 MiB); the search keeps a
+        # table of absolute row sums instead of an |products| copy per level
+        spec = loglin_spec(8, 8)
+        th = spec.params(0.0, (0.5, -0.3) + (0.0,) * 6, (0.4, 0.2) + (0.0,) * 6)
+        tracemalloc.start()
+        try:
+            rep = check_loglin(spec, th)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.verdict, rep.certificate_depth) == ("Pass", 8)
+        assert peak <= 64 * 2**20
 
     def test_order_one_equivalence_small_grid(self):
         spec = loglin_spec()

@@ -288,7 +288,7 @@ class TestPrepared:
         for spec, th, z, series, obs, path in oracle_instances():
             # y_0 does not recur; 300 takes lnfact's lgamma branch; 3.0 is a
             # float count
-            y = (999,) + series.y[1:-2] + (300, 3.0)
+            y = (999, *series.y[1:-2].tolist(), 300, 3.0)
             series = ObservationSeries(y=y, covariates=series.covariates)
             n = series.n
             prep = _prepare(spec, z, series)

@@ -20,6 +20,7 @@ from odmlab.model import (
     ObservationSeries,
     ParameterVector,
     ParxConfig,
+    _count_mean,
     default_initial_window,
     embed_step,
     iterate_latent,
@@ -345,6 +346,39 @@ class TestParamsAndWindows:
                 ObservationSeries(y=(1, bad))
 
     def test_series_accepts_integral_values(self):
+        # the series stores float(v) for each count v in a read-only float64
+        # array; 10**30 has no exact float64 form and is stored as the nearest
+        # double, 1000000000000000019884624838656
         for y in ((0, 3), (True, False), (np.int64(2), np.uint8(7)), (2.0, 0.0),
                   (10**30, np.float32(3.0))):
-            assert ObservationSeries(y=y).y == y
+            got = ObservationSeries(y=y).y
+            assert got.dtype == np.float64 and not got.flags.writeable
+            assert got.tolist() == [float(v) for v in y]
+        assert int(ObservationSeries(y=(10**30,)).y[0]) == 1000000000000000019884624838656
+
+    def test_series_equality_is_exact(self):
+        series = ObservationSeries(y=(1, 2), covariates=((0.5,), (-1.0,)))
+        assert series == ObservationSeries(y=np.array([1.0, 2.0]), covariates=[[0.5], [-1.0]])
+        assert series != ObservationSeries(y=(1, 3), covariates=((0.5,), (-1.0,)))
+        assert series != ObservationSeries(y=(1, 2), covariates=((0.5,), (-1.5,)))
+        assert series != ObservationSeries(y=(1, 2))
+        assert series != (1, 2)
+
+    def test_read_only_float64_input_is_not_copied(self):
+        y = np.array([1.0, 2.0, 3.0])
+        y.flags.writeable = False
+        assert ObservationSeries(y=y).y is y
+        writable = np.array([1.0, 2.0])
+        stored = ObservationSeries(y=writable).y
+        writable[0] = 5.0  # the series holds its own copy
+        assert stored.tolist() == [1.0, 2.0] and not stored.flags.writeable
+
+    def test_count_sum_matches_python_integer_sum(self):
+        # counts below 2^30 over 10^5 terms: every partial sum is an integer
+        # below 2^53, so numpy's pairwise order adds exactly
+        ints = np.random.default_rng(8).integers(0, 2**30, 10**5).tolist()
+        series = ObservationSeries(y=ints)
+        assert int(series.y.sum()) == sum(ints)
+        assert _count_mean(series) == sum(ints) / len(ints)
+        spec = nbin_spec()
+        assert default_initial_window(spec, series).x == (sum(ints) / len(ints),)
