@@ -28,6 +28,7 @@ from .fit import (
     make_box,
 )
 from .model import (
+    FEATURE_KINDS,
     LOGLIN,
     NBIN,
     PARX,
@@ -80,7 +81,7 @@ def _add_family_flags(parser: argparse.ArgumentParser, with_theta: bool = True) 
         "--feature",
         nargs="+",
         default=["abs"],
-        choices=["square", "abs", "pos_part"],
+        choices=FEATURE_KINDS,
         help="PARX feature kinds (feature j reads covariate j)",
     )
     parser.add_argument(

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import LOGLIN, NBIN, PARX, DomainError, ModelSpec, ParameterVector
+from .model import LOGLIN, NBIN, PARX, DomainError, ModelSpec, ParameterVector, check_count
 
 # Poisson log-density clamps the latent here before exponentiating; outside
 # this range e^x would under/overflow a double.
@@ -133,8 +133,7 @@ def log_density(spec: ModelSpec, theta: ParameterVector, x: float, y: int) -> fl
     density is parameter-free (see :func:`covariate_log_density`).  NBIN and
     PARX at x = 0 with y > 0, or at x = inf or NaN, return -inf.
     """
-    if not 0 <= y < math.inf or y % 1:  # NaN and inf fail before the %
-        raise DomainError(f"counts must be nonnegative integers, got {y!r}")
+    check_count(y)
     y = int(y)
     if spec.family == LOGLIN:
         x = _clamped(x)

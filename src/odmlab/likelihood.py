@@ -14,8 +14,8 @@ gets the gradient from one transposed solve for the adjoint weights; the
 optimizer and :func:`grad_loglik` use it, and its value agrees with
 :func:`loglik` to rounding.  Both cost O(n * (p + q)).  One private
 prepared form of (series, initial window), numpy arrays built with no loop
-over the observations, feeds the sequential pass, the kernel and the
-forecast, so a fit reduces its data once.
+over the observations and iterated in place by the sequential readers,
+feeds the sequential pass, the kernel and the forecast: a fit reduces once.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .model import (
     ModelSpec,
     ObservationSeries,
     ParameterVector,
-    _feature_value,
     _latent_path,
     _scalar_window,
     check_series,
@@ -80,7 +79,8 @@ class _Prepared:
     """A series and its initial window, reduced once for every parameter point.
 
     numpy builds it with no loop over the observations.  The kernel reads the
-    arrays; the sequential pass and the forecast read ``.tolist()`` views.
+    arrays; the sequential pass and the forecast iterate them in place
+    through memoryviews, which yield the doubles without a list copy.
     """
 
     n: int
@@ -88,7 +88,7 @@ class _Prepared:
     family: str
     y: np.ndarray  # y_1..y_n
     u: np.ndarray  # reduced observations u_0..u_n; PARX: the counts
-    feats: Optional[np.ndarray]  # PARX feature rows f_0..f_n
+    feats: Optional[np.ndarray]  # PARX: (d, n + 1), column k is the feature row f_k
     lnf: np.ndarray  # ln(y_k!) for k = 1..n
     lnf_sum: float
     counts: Optional[tuple[np.ndarray, np.ndarray]]  # NBIN: distinct y_k, multiplicities
@@ -101,8 +101,8 @@ class _Prepared:
 
     def latent_path(self, theta: ParameterVector, m: int) -> list:
         """x_1..x_m by the sequential recursion, for m <= n + 1."""
-        f = None if self.feats is None else self.feats[:m].tolist()
-        return _latent_path(theta, self.xw0, self.uw0, self.u[:m].tolist(), f)
+        f = None if self.feats is None else zip(*map(memoryview, self.feats[:, :m]))
+        return _latent_path(theta, self.xw0, self.uw0, memoryview(self.u[:m]), f)
 
 
 def _prepare(
@@ -123,10 +123,8 @@ def _prepare(
         mult = np.bincount(inv[1:], minlength=vals.size)
         counts = (vals[mult > 0], mult[mult > 0].astype(float))
     xw0, uw0 = _scalar_window(spec, z_init)
-    feats = cov = None
-    if fam == PARX:
-        cov = series.covariates
-        feats = np.column_stack(list(map(_feature_value, spec.parx.feature_kinds, cov.T)))
+    cov = series.covariates
+    feats = spec.parx.features(cov) if fam == PARX else None
     xext = np.concatenate((np.asarray(xw0, dtype=float), np.zeros(n)))  # x_{1-p}..x_0, 0, ...
     uext = np.concatenate((np.asarray(uw0, dtype=float), u[:n]))  # u_{1-q}..u_{n-1}
     columns = [np.ones(n)] + [xext[p - i : p - i + n] for i in range(1, p + 1)]
@@ -134,7 +132,7 @@ def _prepare(
     if fam == NBIN:
         columns.append(np.zeros(n))
     if feats is not None:
-        columns.append(feats[:n])
+        columns.extend(feats[:, :n])
     matrix = np.column_stack(columns)
     y, lnf_sum = vals[inv[1:]], math.fsum(lnf.tolist())
     return _Prepared(n, p, fam, y, u, feats, lnf, lnf_sum, counts, xw0, uw0, cov, matrix)
@@ -149,9 +147,9 @@ def _loglik_prepared(
 ) -> LikelihoodValue:
     n = prep.n
     xs = prep.latent_path(theta, n)
-    distinct = prep.counts and prep.counts[0].tolist()  # NBIN only
+    distinct = prep.counts and memoryview(prep.counts[0])  # NBIN only
     terms, clamped, first_clamped = _log_terms(
-        spec.family, theta.r, xs, prep.y.tolist(), prep.lnf.tolist(), distinct
+        spec.family, theta.r, xs, memoryview(prep.y), memoryview(prep.lnf), distinct
     )
     values = np.array(terms)
     if include_covariate_density:

@@ -43,7 +43,9 @@ PARX = "parx"
 
 FAMILIES = (LOGLIN, NBIN, PARX)
 
-FEATURE_KINDS = ("square", "abs", "pos_part")
+# each kind on a numpy column, rounding as on a float; pos_part maps -0.0, NaN to 0.0
+_FEATURES = {"square": np.square, "abs": np.abs, "pos_part": lambda v: np.where(v > 0.0, v, 0.0)}
+FEATURE_KINDS = tuple(_FEATURES)
 
 
 class DomainError(ValueError):
@@ -62,15 +64,8 @@ class ModelOrder:
             raise ValueError(f"order must satisfy p >= 1 and q >= 1, got ({self.p}, {self.q})")
 
 
-def _feature_value(kind: str, v):
-    # v is a float or a numpy column (np.where is slow on a float); pos_part maps -0.0, NaN to 0.0
-    if kind == "square":
-        return v * v
-    if kind == "abs":
-        return abs(v)
-    if kind == "pos_part":
-        return np.where(v > 0.0, v, 0.0) if isinstance(v, np.ndarray) else (v if v > 0.0 else 0.0)
-    raise ValueError(f"unknown feature kind {kind!r}")
+def _feature_value(kind: str, v: np.ndarray) -> np.ndarray:
+    return _FEATURES[kind](v)
 
 
 @dataclass(frozen=True)
@@ -119,10 +114,15 @@ class ParxConfig:
     def aleph_matrix(self) -> np.ndarray:
         return np.asarray(self.aleph, dtype=float)
 
+    def features(self, cov) -> np.ndarray:
+        """The (d, m) float64 features of an (m, r) covariate block; row j reads column j."""
+        cols = np.asarray(cov, dtype=float).T
+        return np.array([_feature_value(k, c) for k, c in zip(self.feature_kinds, cols)])
+
     def feature_values(self, xi: Sequence[float]) -> tuple[float, ...]:
         if len(xi) != self.r_dim:
             raise DomainError(f"covariate vector has length {len(xi)}, expected {self.r_dim}")
-        return tuple(_feature_value(k, float(v)) for k, v in zip(self.feature_kinds, xi))
+        return tuple(self.features([xi])[:, 0].tolist())
 
 
 @dataclass(frozen=True)
@@ -323,6 +323,9 @@ class ObservationSeries:
             object.__setattr__(self, "covariates", cov)
             if len(cov) != y.size:
                 raise ValueError(f"{len(cov)} covariate rows for {y.size} observations")
+            ok = np.isfinite(cov)
+            if not ok.all():
+                raise DomainError(f"covariates must be finite, got {cov.flat[ok.argmin()].item()!r}")
 
     def __eq__(self, other):
         if not isinstance(other, ObservationSeries):
@@ -351,20 +354,26 @@ def check_series(spec: ModelSpec, series: ObservationSeries) -> None:
 # identical values.
 
 
+def check_count(y) -> None:
+    """Raise ``DomainError`` unless ``y`` is a nonnegative integer value."""
+    if not 0 <= y < math.inf or y % 1:  # NaN and inf fail before the %
+        raise DomainError(f"counts must be nonnegative integers, got {y!r}")
+
+
 def reduce(spec: ModelSpec, y):
     """Apply the family's observation reduction.
 
     loglin: ln(1 + y); nbin: y; parx: (y, feature values, xi) where the input
-    is the pair (count, covariate row).
+    is the pair (count, covariate row), whose entries must be finite.
     """
     if spec.family == PARX:
         count, xi = y
-        if count < 0:
-            raise DomainError(f"negative count {count}")
+        check_count(count)
         xi = tuple(float(v) for v in xi)
+        if not all(map(math.isfinite, xi)):
+            raise DomainError(f"covariates must be finite, got {xi!r}")
         return (float(count), spec.parx.feature_values(xi), xi)
-    if y < 0:
-        raise DomainError(f"negative count {y}")
+    check_count(y)
     if spec.family == LOGLIN:
         return math.log1p(y)
     return float(y)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from typing import Optional
 
@@ -36,7 +35,6 @@ from .model import (
     ParameterVector,
     ParxConfig,
     _affine,
-    _feature_value,
     _same,
     _scalar_window,
     constant_window,
@@ -142,12 +140,12 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
     if spec.family == PARX:
         px = spec.parx
         noise = rngmod.substream(cfg.seed, rngmod.COVARIATE).standard_normal((steps, px.r_dim))
-        path = covariate_path(px, z0.x[-1][1], px.sigma * noise)
+        noise *= px.sigma
+        path = covariate_path(px, z0.x[-1][1], noise)
         del noise
         covariates = path[burn_in:]
         covariates.flags.writeable = False
-        cols = path.T.tolist()
-        feats = zip(*[map(partial(_feature_value, k), c) for k, c in zip(px.feature_kinds, cols)])
+        feats = zip(*map(memoryview, px.features(path)))
     # p = q = 1 without gamma steps x in a local: _affine's additions in
     # _affine's order, inlined, as in _latent_path
     fast = len(a) == len(b) == 1 and not gamma

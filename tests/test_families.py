@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -245,6 +246,28 @@ class TestFeatures:
             cfg = parx_spec(kinds=(kind,), r_dim=1).parx
             scalar = [cfg.feature_values((v,))[0] for v in col.tolist()]
             assert list(map(repr, _feature_value(kind, col).tolist())) == list(map(repr, scalar))
+
+    @pytest.mark.parametrize("r_dim", [1, 2, 3])
+    def test_block_equals_rows(self, r_dim):
+        # features maps a block at once; row by row, it gives the scalar
+        # formulas' bits, signed zeros, NaN and infinities included
+        scalar = {"square": lambda v: v * v, "abs": abs, "pos_part": lambda v: v if v > 0.0 else 0.0}
+        special = [-0.0, 0.0, math.nan, math.inf, -math.inf, -2.0, 1.5]
+        rng = np.random.default_rng(r_dim)
+        block = np.vstack([np.array([np.roll(special, j) for j in range(r_dim)]).T,
+                           rng.normal(0.0, 3.0, (10, r_dim))])
+        eye = tuple(tuple(0.5 * (i == j) for j in range(r_dim)) for i in range(r_dim))
+        for d in range(1, r_dim + 1):
+            for kinds in itertools.product(FEATURE_KINDS, repeat=d):
+                cfg = ParxConfig(r_dim=r_dim, feature_kinds=kinds, aleph=eye, sigma=1.0)
+                cols = cfg.features(block)
+                assert cols.shape == (d, len(block)) and cols.dtype == np.float64
+                got = [list(map(repr, row)) for row in cols.T.tolist()]
+                assert got == [list(map(repr, cfg.feature_values(row))) for row in block]
+                assert got == [[repr(scalar[k](v)) for k, v in zip(kinds, row)]
+                               for row in block.tolist()]
+        with pytest.raises(DomainError, match="length"):
+            cfg.feature_values(block[0, :-1])
 
     def test_too_many_features_is_config_error(self):
         with pytest.raises(ValueError):

@@ -297,7 +297,8 @@ class TestPrepared:
             assert prep.y.tolist() == [float(v) for v in y[1:]]
             assert prep.lnf.tolist() == [lnfact(int(v)) for v in y[1:]]
             if spec.family == PARX:
-                assert prep.feats.tolist() == [list(feats[t]) for t in range(n + 1)]
+                # (d, n + 1): column t is the feature row f_t
+                assert prep.feats.T.tolist() == [list(feats[t]) for t in range(n + 1)]
             if spec.family == NBIN:
                 vals, mult = prep.counts
                 distinct = sorted(set(y[1:]))

@@ -21,6 +21,7 @@ from odmlab.model import (
     ParameterVector,
     ParxConfig,
     _count_mean,
+    constant_window,
     default_initial_window,
     embed_step,
     iterate_latent,
@@ -73,6 +74,32 @@ class TestReduce:
     def test_parx_triple(self):
         u = reduce(parx_spec(), (3, (-2.0, 1.5)))
         assert u == (3.0, (2.0, 2.25), (-2.0, 1.5))
+
+    @pytest.mark.parametrize("family", [LOGLIN, NBIN, PARX])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.5, -1])
+    def test_non_counts_rejected(self, family, bad):
+        # the rule ObservationSeries and log_density apply, on every path
+        # that reduces a raw observation
+        spec = {LOGLIN: loglin_spec, NBIN: nbin_spec, PARX: parx_spec}[family]()
+        extra = {NBIN: {"r": 2.0}, PARX: {"gamma": [0.2, 0.1]}}.get(family, {})
+        th = spec.params(0.5, [0.3], [0.2], **extra)
+        z = constant_window(spec, 1.0, 0)
+        ok, y = ((1, (0.5, -0.5)), (bad, (0.5, -0.5))) if family == PARX else (1, bad)
+        for call in (lambda: reduce(spec, y), lambda: embed_step(spec, th, z, y),
+                     lambda: iterate_latent(spec, th, z, [ok, y, ok])):
+            with pytest.raises(DomainError, match="counts must be nonnegative integers"):
+                call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_parx_non_finite_covariate_rejected(self, bad):
+        spec = parx_spec()
+        th = spec.params(0.5, [0.3], [0.2], gamma=[0.2, 0.1])
+        z = constant_window(spec, 1.0, 0)
+        y = (1, (0.5, bad))
+        for call in (lambda: reduce(spec, y), lambda: embed_step(spec, th, z, y),
+                     lambda: iterate_latent(spec, th, z, [(1, (0.5, 0.5)), y])):
+            with pytest.raises(DomainError, match="covariates must be finite"):
+                call()
 
 
 class TestLinkStep:
@@ -344,6 +371,11 @@ class TestParamsAndWindows:
             warnings.simplefilter("error")  # e.g. a RuntimeWarning from numpy inf % 1
             with pytest.raises(DomainError, match="nonnegative integers"):
                 ObservationSeries(y=(1, bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_series_rejects_non_finite_covariates(self, bad):
+        with pytest.raises(DomainError, match="covariates must be finite"):
+            ObservationSeries(y=(1, 2), covariates=((0.5, -1.0), (bad, 1.0)))
 
     def test_series_accepts_integral_values(self):
         # the series stores float(v) for each count v in a read-only float64

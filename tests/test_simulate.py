@@ -83,6 +83,20 @@ class TestArrays:
             tracemalloc.stop()
         assert peak <= 32 * n
 
+    def test_parx_simulation_peak(self):
+        # the output holds 24 bytes a step (counts, latents, one covariate);
+        # the feature column and its one temporary take 16 more
+        spec = parx_spec(r_dim=1, kinds=("abs",))
+        th = spec.params(0.5, [0.3], [0.2], gamma=[0.2])
+        n = 200_000
+        tracemalloc.start()
+        try:
+            simulate_series(spec, th, SimConfig(n=n - 1, burn_in=0, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * n
+
 
 class TestMoments:
     def test_iid_loglin_mean(self):
