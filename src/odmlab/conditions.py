@@ -16,7 +16,10 @@ finite certificate that bounds the infinity norm of every admissible product
 of switched companion matrices up to a configurable depth.  Passing at depth
 m implies every long product decays geometrically (split it into admissible
 blocks of length m + 1), so the certificate is sound; it is searched from
-depth 0 upward, which also makes it monotone in the depth budget.
+depth 0 upward, which also makes it monotone in the depth budget.  Row r
+of a product is the top row of the product of its first m + 1 - r matrices,
+so the search stores only top rows, one per switching history: the
+loglin(8, 8) check at its default depth 8 peaks near 12.5 MiB.
 
 Inequalities in the underlying theory are strict; boundary values therefore
 Fail, and every report carries the raw margin so callers can see how close
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -39,6 +43,7 @@ from .model import (
     LatentWindow,
     ModelSpec,
     ParameterVector,
+    _reduce_all,
     _window_path,
     reduce,
     validate_params,
@@ -48,7 +53,9 @@ TOL_RADIUS = 1e-9
 TOL_ROOT = 1e-8
 
 DEFAULT_CERT_DEPTH = 12
-CERT_BUDGET = 2**22  # floats held by the certificate's deepest level
+# bounds the certificate's deepest level at 2^(q + depth) products of s x s
+# floats; the search stores only their top rows, an s-th of that
+CERT_BUDGET = 2**22
 
 
 class CertificateBudgetError(ValueError):
@@ -143,45 +150,32 @@ def _certificate_search(apad, bpad, q: int, max_depth: int):
     """Smallest depth m <= max_depth at which every admissible product of
     m + 1 switched companion matrices has infinity norm < 1.
 
-    Returns (depth or None, best max-norm seen).  Enumeration is breadth
-    first over switching histories: bit j of ``hist`` is the j-th newest
-    bit, and a new matrix's top row reads the q newest.
+    Returns (depth or None, best max-norm seen).  Row r of a depth-m product
+    is the top row of its depth-(m - r) prefix, so a level stores one top row
+    per switching history h, in integer order (bit j of h is its j-th newest
+    bit; its prefix r levels up is h >> r).  That row is the recursion of
+    :func:`loglin_iterate`: the sum over j of (a_j + b_j * bit_j(h)) times the
+    top row j + 1 levels up, where level -r is row r - 1 of the identity.
     """
     s = len(apad)
-    apad, bpad, shifts = np.array(apad), np.array(bpad), np.arange(s)
-
-    def top_rows(hist):  # bits q and up meet the zero padding of bpad
-        return apad + bpad * ((hist[:, None] >> shifts) & 1)
-
-    # Depth 0: one matrix per q-bit history.
-    hist = np.arange(2**q)
-    prods = np.zeros((hist.size, s, s))
-    prods[:, 0, :] = top_rows(hist)
-    prods[:, 1:, :-1] = np.eye(s - 1)
-    # norms[i, r]: the absolute sum of row r of product i; a child's rows
-    # 1..s-1 are its parent's rows 0..s-2, so only the new top row is summed
-    norms = np.abs(prods).sum(axis=2)
-
+    coef = np.array([apad, np.add(apad, bpad)]).T[:, :, None, None]  # [j, bit_j(h)]
+    # the top rows of the last s levels, oldest first; level -r (a unit seed)
+    # is one view of its identity row per history of its q - r bits
+    tops = [np.broadcast_to(np.eye(s)[r - 1], (2 ** max(q - r, 0), s)) for r in range(s, 0, -1)]
+    sums = [1.0] * s  # the largest absolute row sum of each of those levels
     best = math.inf
     for depth in range(max_depth + 1):
-        level_max = float(norms.max())
+        top = np.zeros((2 ** (q + depth), s))
+        for j, prefix in enumerate(reversed(tops)):
+            # each prefix row heads a block of histories, and bit j of h picks
+            # its half (for j >= q, b_j = 0 and the halves agree)
+            top.reshape(len(prefix), 2, -1, s)[...] += coef[j] * prefix[:, None, None]
+        tops = tops[1:] + [top]
+        sums = sums[1:] + [float(np.abs(top).sum(axis=1).max())]
+        level_max = max(sums)
         best = min(best, level_max)
         if level_max < 1.0:
             return depth, best
-        if depth == max_depth:
-            break
-        # all bit-0 children, then all bit-1 children, each block in parent order
-        n = hist.size
-        hist = np.concatenate([hist << 1, hist << 1 | 1])
-        rows = top_rows(hist)
-        new_prods = np.empty((2 * n, s, s))
-        new_norms = np.empty((2 * n, s))
-        for block in (slice(0, n), slice(n, 2 * n)):
-            new_prods[block, 0, :] = np.einsum("nj,njk->nk", rows[block], prods)
-            new_prods[block, 1:, :] = prods[:, :-1, :]
-            new_norms[block, 1:] = norms[:, :-1]
-        new_norms[:, 0] = np.abs(new_prods[:, 0, :]).sum(axis=1)
-        prods, norms = new_prods, new_norms
     return None, best
 
 
@@ -197,10 +191,11 @@ def check_loglin(
     closed unit disk.  Sufficient: either the coefficient bound
     ``sum_k max(|a_k|, |a_k + b_k|) < 1`` or the switched-product norm
     certificate (searched up to ``certificate_depth``), whose deepest level
-    holds 2^(q + depth) products of s x s floats, s = max(p, q), within
-    ``CERT_BUDGET``.  The default depth is the largest <= 12 that fits; when
-    none fits, no certificate is searched.  An explicit depth over the budget
-    raises ``CertificateBudgetError``, a negative one ``ValueError``.
+    enumerates 2^(q + depth) products of s x s floats, s = max(p, q), within
+    ``CERT_BUDGET`` (only their top rows are stored).  The default depth is
+    the largest <= 12 that fits; when none fits, no certificate is searched.
+    An explicit depth over the budget raises ``CertificateBudgetError``; a
+    negative one, a bool or a non-integer raises ``ValueError``.
     """
     validate_params(spec, theta)
     a, b = theta.a, theta.b
@@ -208,6 +203,10 @@ def check_loglin(
     apad = tuple(a) + (0.0,) * (s - len(a))
     bpad = tuple(b) + (0.0,) * (s - q)
     products = CERT_BUDGET // (s * s)  # the most s x s products the budget holds
+    if certificate_depth is not None:
+        if isinstance(certificate_depth, bool) or not hasattr(certificate_depth, "__index__"):
+            raise ValueError(f"certificate depth must be an integer, got {certificate_depth!r}")
+        certificate_depth = operator.index(certificate_depth)
     if certificate_depth is None:
         certificate_depth = min(DEFAULT_CERT_DEPTH, products.bit_length() - 1 - q)
         if certificate_depth < 0:
@@ -395,7 +394,7 @@ def lipschitz_estimate(
         d0 = _window_distance(spec, z1, z2)
         if d0 == 0.0:
             continue
-        u = [reduce(spec, y) for y in _sample_observations(spec, rng, n_max)]
+        u = _reduce_all(spec, _sample_observations(spec, rng, n_max))
         x1 = _window_path(spec, theta, z1, u)
         x2 = _window_path(spec, theta, z2, u)
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge / d0

@@ -367,16 +367,29 @@ def reduce(spec: ModelSpec, y):
     is the pair (count, covariate row), whose entries must be finite.
     """
     if spec.family == PARX:
-        count, xi = y
-        check_count(count)
-        xi = tuple(float(v) for v in xi)
-        if not all(map(math.isfinite, xi)):
-            raise DomainError(f"covariates must be finite, got {xi!r}")
-        return (float(count), spec.parx.feature_values(xi), xi)
+        return _reduce_all(spec, (y,))[0]
     check_count(y)
     if spec.family == LOGLIN:
         return math.log1p(y)
     return float(y)
+
+
+def _reduce_all(spec: ModelSpec, ys) -> list:
+    """:func:`reduce` over ``ys``: PARX rows are checked in order, then featurized at once."""
+    if spec.family != PARX:
+        return [reduce(spec, y) for y in ys]
+    counts, rows = [], []
+    for count, xi in ys:
+        check_count(count)
+        xi = tuple(float(v) for v in xi)
+        if not all(map(math.isfinite, xi)):
+            raise DomainError(f"covariates must be finite, got {xi!r}")
+        if len(xi) != spec.parx.r_dim:
+            raise DomainError(f"covariate vector has length {len(xi)}, expected {spec.parx.r_dim}")
+        counts.append(float(count))
+        rows.append(xi)
+    feats = spec.parx.features(rows).T.tolist()
+    return [(c, tuple(f), xi) for c, f, xi in zip(counts, feats, rows)]
 
 
 def _affine(omega: float, a, b, xw, uw, gamma=(), f=()) -> float:
@@ -483,7 +496,7 @@ def iterate_latent(spec: ModelSpec, theta: ParameterVector, z_init: LatentWindow
     prefix is reduced, then :func:`_latent_path` runs the recursion, sharing
     its arithmetic with :func:`embed_step`.
     """
-    u = [reduce(spec, y) for y in y_prefix]
+    u = _reduce_all(spec, y_prefix)
     if not u:
         return project_latent(spec, z_init)
     x = _window_path(spec, theta, z_init, u)[-1]

@@ -199,6 +199,8 @@ def stationary_moment_estimate(
     Warns (but proceeds) when the family's stability condition does not
     certify the parameters.
     """
+    if batches < 2:
+        raise ValueError(f"batches must be >= 2, got {batches}")
     if n < 2 * batches:
         raise ValueError(f"need n >= {2 * batches} samples for {batches} batches")
     report = check_model(spec, theta)

@@ -4,9 +4,10 @@ These deliberately avoid the library's sliding-window machinery: the latent
 path is rebuilt from scratch with dictionary indexing straight from the
 defining recursion, densities are written out as formulas, and polynomial
 stability is decided by an argument-principle winding count on the unit
-circle.
+circle, and switched companion products are multiplied out one by one.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -133,6 +134,35 @@ def near_unit_circle_root(c, band=1e-6):
     if roots.size == 0:
         return False
     return bool(np.min(np.abs(np.abs(roots) - 1.0)) < band)
+
+
+def switched_product_norms(a, b, max_depth):
+    """Max infinity norm over the admissible switched products, per depth.
+
+    Entry m covers every product M_{m+1} ... M_1 of m + 1 companion matrices,
+    one per history of q + m switching bits w_1..w_{q+m} (oldest first):
+    M_k has top row a_j + b_j * w_{k+q-j}, j = 1..s (zero padded to
+    s = max(p, q)), and the shifted identity below.  Each product is
+    multiplied out matrix by matrix, with no reuse of shorter products.
+    """
+    p, q = len(a), len(b)
+    s = max(p, q)
+    a = list(a) + [0.0] * (s - p)
+    b = list(b) + [0.0] * (s - q)
+    norms = []
+    for m in range(max_depth + 1):
+        worst = 0.0
+        for w in itertools.product((0, 1), repeat=q + m):
+            prod = np.eye(s)
+            for k in range(1, m + 2):
+                mat = np.zeros((s, s))
+                mat[0] = [a[j - 1] + (b[j - 1] * w[k + q - j - 1] if j <= q else 0.0)
+                          for j in range(1, s + 1)]
+                mat[1:, :-1] = np.eye(s - 1)
+                prod = mat @ prod
+            worst = max(worst, float(np.abs(prod).sum(axis=1).max()))
+        norms.append(worst)
+    return norms
 
 
 def random_instance(rng, families=(LOGLIN, NBIN, PARX), max_order=3, stable=False):

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -113,6 +115,46 @@ class TestCheckLoglin:
         with pytest.raises(ValueError, match="certificate depth must be >= 0, got -3"):
             check_loglin(spec, th, certificate_depth=-3)
 
+    @pytest.mark.parametrize("depth", [True, False, 2.0, 2.5, "3", np.float64(4.0)])
+    def test_non_integer_depth_rejected(self, depth):
+        spec = loglin_spec(2, 2)
+        th = spec.params(0.0, [0.6, -0.3], [0.2, 0.3])
+        msg = f"certificate depth must be an integer, got {depth!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            check_loglin(spec, th, certificate_depth=depth)
+
+    def test_numpy_integer_depth_accepted(self):
+        spec = loglin_spec(2, 2)
+        th = spec.params(0.0, [0.6, -0.3], [0.2, 0.3])
+        rep = check_loglin(spec, th, certificate_depth=np.int64(0))
+        assert rep == check_loglin(spec, th, certificate_depth=0)
+        assert (rep.verdict, type(rep.certificate_depth)) == ("Inconclusive", int)
+        assert json.loads(json.dumps(rep.to_dict()))["certificate_depth"] == 0
+
+    def test_search_matches_explicit_products(self):
+        # margin, verdict and depth against every product multiplied out
+        rng = np.random.default_rng(4431)
+        verdicts = set()
+        checked = 0
+        while checked < 30:
+            p, q = (int(v) for v in rng.integers(1, 4, 2))
+            spec = loglin_spec(p, q)
+            a, b = rng.uniform(-1.0, 1.0, p), rng.uniform(-1.0, 1.0, q)
+            k = rng.uniform(0.8, 1.4) / (np.abs(a).sum() + np.abs(b).sum())
+            th = spec.params(0.0, a * k, b * k)
+            depth = int(rng.integers(0, 6))
+            rep = check_loglin(spec, th, certificate_depth=depth)
+            if rep.checks[-1].name != "switched_product_norm":
+                continue
+            checked += 1
+            norms = oracles.switched_product_norms(th.a, th.b, depth)
+            stop = next((m for m, v in enumerate(norms) if v < 1.0), depth)
+            assert rep.checks[-1].value == pytest.approx(min(norms[: stop + 1]), rel=1e-12)
+            assert rep.certificate_depth == stop
+            assert rep.verdict == ("Pass" if norms[stop] < 1.0 else "Inconclusive")
+            verdicts.add(rep.verdict)
+        assert verdicts == {"Pass", "Inconclusive"}
+
     @pytest.mark.parametrize(
         "a,b,verdict",
         [
@@ -175,10 +217,31 @@ class TestCheckLoglin:
             "7bdaebfc044396baec1b214f3a556b0fc2163a61924cab79abfd2ac0344a5d0c"
         )
 
+    def test_pinned_high_order_searches(self):
+        # orders 5..8 at depths <= 4: the recursion reads up to 8 levels back,
+        # and the identity rows of each product still count
+        rng = np.random.default_rng(58)
+        digest = hashlib.sha256()
+        searched = 0
+        while searched < 60:
+            p, q = (int(v) for v in rng.integers(5, 9, 2))
+            spec = loglin_spec(p, q)
+            a, b = rng.uniform(-1.0, 1.0, p), rng.uniform(-1.0, 1.0, q)
+            k = rng.uniform(0.8, 1.6) / (np.abs(a).sum() + np.abs(b).sum())
+            th = spec.params(0.0, a * k, b * k)
+            rep = check_loglin(spec, th, certificate_depth=int(rng.integers(0, 5)))
+            if rep.checks[-1].name != "switched_product_norm":
+                continue
+            searched += 1
+            digest.update(repr((rep.certificate_depth, rep.checks[-1].value)).encode())
+        assert digest.hexdigest() == (
+            "a2fa6fbe2ecc123c6d264165fa5ae5723c58d322a741f5622c6f1c933ebcecea"
+        )
+
     def test_deepest_search_peak_memory(self):
         # loglin(8,8) at its default depth 8 certifies only at the deepest
-        # level, 2^16 products of 8 x 8 floats (32 MiB); the search keeps a
-        # table of absolute row sums instead of an |products| copy per level
+        # level, 2^16 products of 8 x 8 floats; the search stores their top
+        # rows alone (4 MiB), plus the last 7 levels' (4 MiB together)
         spec = loglin_spec(8, 8)
         th = spec.params(0.0, (0.5, -0.3) + (0.0,) * 6, (0.4, 0.2) + (0.0,) * 6)
         tracemalloc.start()
@@ -188,7 +251,7 @@ class TestCheckLoglin:
         finally:
             tracemalloc.stop()
         assert (rep.verdict, rep.certificate_depth) == ("Pass", 8)
-        assert peak <= 64 * 2**20
+        assert peak <= 24 * 2**20
 
     def test_order_one_equivalence_small_grid(self):
         spec = loglin_spec()

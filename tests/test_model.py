@@ -101,6 +101,18 @@ class TestReduce:
             with pytest.raises(DomainError, match="covariates must be finite"):
                 call()
 
+    def test_parx_prefix_reports_first_bad_observation(self):
+        spec = parx_spec()
+        th = spec.params(0.5, [0.3], [0.2], gamma=[0.2, 0.1])
+        z = constant_window(spec, 1.0, 0)
+        prefix = [(1, (0.5, 0.5)), (1, (0.5,)), (-1, (0.5, 0.5)), (1, (math.nan, 0.5))]
+        # each prefix holds several bad observations; its first is reported
+        for start, msg in [(0, "covariate vector has length 1, expected 2"),
+                           (2, "counts must be nonnegative integers"),
+                           (3, "covariates must be finite")]:
+            with pytest.raises(DomainError, match=msg):
+                iterate_latent(spec, th, z, prefix[start:])
+
 
 class TestLinkStep:
     def test_loglin_example(self):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,15 @@ class TestMoments:
         est = stationary_moment_estimate(spec, th, n=200_000, seed=3, batches=50)
         assert abs(est.mean_x - 10.0 / 3.0) < 3.0 * est.se_x
         assert abs(est.mean_y - 20.0 / 3.0) < 3.0 * est.se_y
+
+    @pytest.mark.parametrize("batches", [1, 0, -3])
+    def test_fewer_than_two_batches_rejected(self, batches):
+        spec = nbin_spec()
+        th = spec.params(1.0, [0.3], [0.2], r=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^batches must be >= 2, got {batches}$"):
+                stationary_moment_estimate(spec, th, n=1000, seed=3, batches=batches)
 
     def test_iid_regimes_match_formulas(self):
         spec = nbin_spec()
