@@ -399,12 +399,12 @@ def cmd_mc_consistency(args) -> int:
         config = ExperimentConfig(
             spec=spec,
             theta_star=theta_star,
-            ns=tuple(int(v) for v in sizes),
-            replicates=int(replicates),
-            seed=int(seed),
+            ns=tuple(_json_int(v, "config 'n'") for v in sizes),
+            replicates=_json_int(replicates, "config 'replicates'"),
+            seed=_json_int(seed, "config 'seed'"),
             box=box,
             fit_opts=fit_opts,
-            burn_in=int(raw.get("burn_in", ExperimentConfig.burn_in)),
+            burn_in=_json_int(raw.get("burn_in", ExperimentConfig.burn_in), "config 'burn_in'"),
         )
     except TypeError as exc:  # e.g. a scalar where the list of sizes belongs
         raise CliError(f"bad config: {exc}") from exc

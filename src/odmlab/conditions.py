@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -43,9 +42,9 @@ from .model import (
     LatentWindow,
     ModelSpec,
     ParameterVector,
+    _integer,
     _reduce_all,
     _window_path,
-    reduce,
     validate_params,
 )
 
@@ -204,9 +203,7 @@ def check_loglin(
     bpad = tuple(b) + (0.0,) * (s - q)
     products = CERT_BUDGET // (s * s)  # the most s x s products the budget holds
     if certificate_depth is not None:
-        if isinstance(certificate_depth, bool) or not hasattr(certificate_depth, "__index__"):
-            raise ValueError(f"certificate depth must be an integer, got {certificate_depth!r}")
-        certificate_depth = operator.index(certificate_depth)
+        certificate_depth = _integer(certificate_depth, "certificate depth")
     if certificate_depth is None:
         certificate_depth = min(DEFAULT_CERT_DEPTH, products.bit_length() - 1 - q)
         if certificate_depth < 0:
@@ -309,55 +306,35 @@ def check_identifiable(a, b) -> ConditionReport:
 # --- contraction diagnostics ---------------------------------------------------
 
 
-def _latent_metric(spec: ModelSpec, v, w) -> float:
-    if spec.family == PARX:
-        dx = abs(v[0] - w[0])
-        dxi = math.dist(v[1], w[1])
-        return max(dx, dxi)
-    return abs(v - w)
-
-
-def _reduced_metric(spec: ModelSpec, v, w) -> float:
-    if spec.family == PARX:
-        dy = abs(v[0] - w[0])
-        df = max((abs(x - y) for x, y in zip(v[1], w[1])), default=0.0)
-        dxi = math.dist(v[2], w[2])
-        return max(dy, df, dxi)
-    return abs(v - w)
-
-
-def _window_distance(spec: ModelSpec, z, z2) -> float:
-    """Max over window slots of the componentwise latent/reduced metrics."""
-    dx = max(_latent_metric(spec, v, w) for v, w in zip(z.x, z2.x))
-    du = max(
-        (_reduced_metric(spec, v, w) for v, w in zip(z.u, z2.u)),
-        default=0.0,
-    )
-    return max(dx, du)
+def _window_distance(spec: ModelSpec, z: LatentWindow, z2: LatentWindow) -> float:
+    """The largest gap between two windows' slots over every component: the
+    scalar gap, each PARX feature gap and the Euclidean gap of the PARX
+    covariate rows."""
+    slots = zip(z.x + z.u, z2.x + z2.u)
+    if spec.family != PARX:
+        return max(abs(v - w) for v, w in slots)
+    gaps = []
+    for v, w in slots:
+        gaps += [abs(v[0] - w[0]), math.dist(v[-1], w[-1])]
+        if len(v) == 3:  # a reduction (y, features, xi); a latent is (x, xi)
+            gaps += [abs(f - g) for f, g in zip(v[1], w[1])]
+    return max(gaps)
 
 
 def _sample_window(spec: ModelSpec, rng: np.random.Generator) -> LatentWindow:
     p, q = spec.p, spec.q
     if spec.family == LOGLIN:
-        return LatentWindow(
-            x=tuple(float(v) for v in rng.normal(0.0, 1.5, p)),
-            u=tuple(reduce(spec, int(v)) for v in rng.poisson(2.0, q - 1)),
-        )
-    if spec.family == NBIN:
-        return LatentWindow(
-            x=tuple(float(v) for v in rng.gamma(2.0, 2.0, p)),
-            u=tuple(reduce(spec, int(v)) for v in rng.poisson(3.0, q - 1)),
-        )
-    r_dim = spec.parx.r_dim
-    xs = tuple(
-        (float(rng.gamma(2.0, 2.0)), tuple(float(v) for v in rng.normal(0.0, 1.0, r_dim)))
-        for _ in range(p)
-    )
-    us = tuple(
-        reduce(spec, (int(rng.poisson(3.0)), tuple(float(v) for v in rng.normal(0.0, 1.0, r_dim))))
-        for _ in range(q - 1)
-    )
-    return LatentWindow(x=xs, u=us)
+        xs = rng.normal(0.0, 1.5, p).tolist()
+        ys = _sample_observations(spec, rng, q - 1)
+    elif spec.family == NBIN:
+        xs = rng.gamma(2.0, 2.0, p).tolist()
+        ys = rng.poisson(3.0, q - 1).tolist()
+    else:
+        r_dim = spec.parx.r_dim
+        xs = [(float(rng.gamma(2.0, 2.0)), tuple(rng.normal(0.0, 1.0, r_dim).tolist()))
+              for _ in range(p)]
+        ys = _sample_observations(spec, rng, q - 1)
+    return LatentWindow(x=tuple(xs), u=tuple(_reduce_all(spec, ys)))
 
 
 def _sample_observations(spec: ModelSpec, rng: np.random.Generator, n: int):

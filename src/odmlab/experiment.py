@@ -24,6 +24,7 @@ from .model import (
     ModelSpec,
     ObservationSeries,
     ParameterVector,
+    _integer,
     pack_params,
     param_names,
 )
@@ -56,11 +57,13 @@ class ExperimentConfig:
     burn_in: int = 1000
 
     def __post_init__(self):
-        if self.replicates < 1:
+        if _integer(self.replicates, "replicates") < 1:
             raise ValueError("replicate count must be >= 1")
+        for n in self.ns:
+            _integer(n, "sample size in ns")
         if any(b <= a for a, b in zip(self.ns, self.ns[1:])) or not self.ns:
             raise ValueError("sample sizes must be non-empty and strictly increasing")
-        if self.burn_in < 0:
+        if _integer(self.burn_in, "burn_in") < 0:
             raise ValueError("burn_in must be >= 0")
 
 

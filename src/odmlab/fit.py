@@ -45,6 +45,7 @@ from .model import (
     ObservationSeries,
     ParameterVector,
     _count_mean,
+    _integer,
     default_initial_window,
     iterate_latent,  # unused here; bench/tracing.py wraps odmlab.fit.iterate_latent
     pack_params,
@@ -146,6 +147,10 @@ class FitOptions:
     require_stability: bool = False
     guard_override: bool = False
     seed: int = 0
+
+    def __post_init__(self):
+        _integer(self.starts, "starts")
+        _integer(self.max_evals, "max_evals")
 
 
 @dataclass(frozen=True)

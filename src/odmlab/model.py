@@ -31,6 +31,7 @@ All state objects are immutable; every function here is pure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Sequence
@@ -52,6 +53,13 @@ class DomainError(ValueError):
     """An argument is outside the family's domain."""
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: ValueError for a bool or a value without ``__index__``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class ModelOrder:
     """Lag counts: ``p`` latent lags, ``q`` observation lags."""
@@ -62,10 +70,6 @@ class ModelOrder:
     def __post_init__(self):
         if self.p < 1 or self.q < 1:
             raise ValueError(f"order must satisfy p >= 1 and q >= 1, got ({self.p}, {self.q})")
-
-
-def _feature_value(kind: str, v: np.ndarray) -> np.ndarray:
-    return _FEATURES[kind](v)
 
 
 @dataclass(frozen=True)
@@ -117,12 +121,7 @@ class ParxConfig:
     def features(self, cov) -> np.ndarray:
         """The (d, m) float64 features of an (m, r) covariate block; row j reads column j."""
         cols = np.asarray(cov, dtype=float).T
-        return np.array([_feature_value(k, c) for k, c in zip(self.feature_kinds, cols)])
-
-    def feature_values(self, xi: Sequence[float]) -> tuple[float, ...]:
-        if len(xi) != self.r_dim:
-            raise DomainError(f"covariate vector has length {len(xi)}, expected {self.r_dim}")
-        return tuple(self.features([xi])[:, 0].tolist())
+        return np.array([_FEATURES[k](c) for k, c in zip(self.feature_kinds, cols)])
 
 
 @dataclass(frozen=True)

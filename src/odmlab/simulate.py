@@ -35,6 +35,7 @@ from .model import (
     ParameterVector,
     ParxConfig,
     _affine,
+    _integer,
     _same,
     _scalar_window,
     constant_window,
@@ -58,9 +59,9 @@ class SimConfig:
     z_init: Optional[LatentWindow] = None
 
     def __post_init__(self):
-        if self.n < 1:
+        if _integer(self.n, "n") < 1:
             raise ValueError("n must be >= 1")
-        if self.burn_in < 0:
+        if _integer(self.burn_in, "burn_in") < 0:
             raise ValueError("burn_in must be >= 0")
 
 
@@ -199,6 +200,7 @@ def stationary_moment_estimate(
     Warns (but proceeds) when the family's stability condition does not
     certify the parameters.
     """
+    batches = _integer(batches, "batches")
     if batches < 2:
         raise ValueError(f"batches must be >= 2, got {batches}")
     if n < 2 * batches:

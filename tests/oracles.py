@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's sliding-window machinery: the latent
 path is rebuilt from scratch with dictionary indexing straight from the
-defining recursion, densities are written out as formulas, and polynomial
+defining recursion, densities are written out as formulas, the PARX features
+are written from the kind definitions one covariate at a time, polynomial
 stability is decided by an argument-principle winding count on the unit
 circle, and switched companion products are multiplied out one by one.
 """
@@ -13,6 +14,18 @@ import math
 import numpy as np
 
 from odmlab.model import LOGLIN, NBIN, PARX
+
+# feature kind -> its value at one covariate coordinate v
+FEATURE_FORMULAS = {
+    "square": lambda v: v * v,
+    "abs": abs,
+    "pos_part": lambda v: v if v > 0.0 else 0.0,
+}
+
+
+def parx_features(cfg, xi):
+    """The feature row of covariate row ``xi``: feature j is kind j at coordinate j."""
+    return tuple(FEATURE_FORMULAS[k](float(v)) for k, v in zip(cfg.feature_kinds, xi))
 
 
 def attach_series(spec, z_init, series):
@@ -29,7 +42,7 @@ def attach_series(spec, z_init, series):
             feats[-q + 1 + offset] = entry[1]
         for t, y in enumerate(series.y):
             us[t] = float(y)
-            feats[t] = spec.parx.feature_values(series.covariates[t])
+            feats[t] = parx_features(spec.parx, series.covariates[t])
     else:
         for offset, x in enumerate(z_init.x):
             xs[-p + 1 + offset] = x
@@ -233,32 +246,31 @@ def random_series(spec, rng, n):
 
 
 def random_window(spec, rng):
+    """An admissible window of random entries, reduced by the oracle's own formulas."""
     from odmlab.model import LatentWindow
-    from odmlab.model import reduce as reduce_obs
 
     p, q = spec.p, spec.q
     if spec.family == LOGLIN:
         return LatentWindow(
             x=tuple(float(v) for v in rng.normal(0.0, 1.0, p)),
-            u=tuple(reduce_obs(spec, int(v)) for v in rng.poisson(2.0, q - 1)),
+            u=tuple(math.log1p(int(v)) for v in rng.poisson(2.0, q - 1)),
         )
     if spec.family == NBIN:
         return LatentWindow(
             x=tuple(float(v) for v in rng.gamma(2.0, 1.5, p)),
-            u=tuple(reduce_obs(spec, int(v)) for v in rng.poisson(3.0, q - 1)),
+            u=tuple(float(int(v)) for v in rng.poisson(3.0, q - 1)),
         )
     r_dim = spec.parx.r_dim
     xs = tuple(
         (float(rng.gamma(2.0, 1.5)), tuple(float(v) for v in rng.normal(0.0, 1.0, r_dim)))
         for _ in range(p)
     )
-    us = tuple(
-        reduce_obs(
-            spec, (int(rng.poisson(3.0)), tuple(float(v) for v in rng.normal(0.0, 1.0, r_dim)))
-        )
-        for _ in range(q - 1)
-    )
-    return LatentWindow(x=xs, u=us)
+    us = []
+    for _ in range(q - 1):
+        y = float(rng.poisson(3.0))
+        xi = tuple(float(v) for v in rng.normal(0.0, 1.0, r_dim))
+        us.append((y, parx_features(spec.parx, xi), xi))
+    return LatentWindow(x=xs, u=tuple(us))
 
 
 def radical_inverse(index, base):

@@ -147,6 +147,13 @@ ERROR_FILES = {
     "mc_starts_fraction.json": {**MC_CONFIG, "fit": {"starts": 2.7}},
     "mc_starts_bool.json": {**MC_CONFIG, "fit": {"starts": True}},
     "mc_fit_key.json": {**MC_CONFIG, "fit": {"starts": 2, "max_eval": 10}},
+    "mc_replicates_fraction.json": {**MC_CONFIG, "replicates": 2.7},
+    "mc_replicates_bool.json": {**MC_CONFIG, "replicates": True},
+    "mc_replicates_string.json": {**MC_CONFIG, "replicates": "2"},
+    "mc_n_fraction.json": {**MC_CONFIG, "n": [60.9]},
+    "mc_seed_fraction.json": {**MC_CONFIG, "seed": 1.5},
+    "mc_burn_in_fraction.json": {**MC_CONFIG, "burn_in": 10.9},
+    "mc_burn_in_bool.json": {**MC_CONFIG, "burn_in": True},
 }
 FORECAST = ("forecast", "--family", "loglin", "--data", "loglin.csv", "--theta-file")
 # argv, and a piece of the one error line
@@ -190,6 +197,20 @@ ERROR_TABLE = {
                        "config 'fit' 'starts' must be an integer, got true"),
     "mc_unknown_fit_key": (("mc-consistency", "--config", "mc_fit_key.json"),
                            "unknown 'fit' keys in config: ['max_eval']; allowed: "),
+    "mc_replicates_fraction": (("mc-consistency", "--config", "mc_replicates_fraction.json"),
+                               "config 'replicates' must be an integer, got 2.7"),
+    "mc_replicates_bool": (("mc-consistency", "--config", "mc_replicates_bool.json"),
+                           "config 'replicates' must be an integer, got true"),
+    "mc_replicates_string": (("mc-consistency", "--config", "mc_replicates_string.json"),
+                             "config 'replicates' must be an integer, got \"2\""),
+    "mc_n_fraction": (("mc-consistency", "--config", "mc_n_fraction.json"),
+                      "config 'n' must be an integer, got 60.9"),
+    "mc_seed_fraction": (("mc-consistency", "--config", "mc_seed_fraction.json"),
+                         "config 'seed' must be an integer, got 1.5"),
+    "mc_burn_in_fraction": (("mc-consistency", "--config", "mc_burn_in_fraction.json"),
+                            "config 'burn_in' must be an integer, got 10.9"),
+    "mc_burn_in_bool": (("mc-consistency", "--config", "mc_burn_in_bool.json"),
+                        "config 'burn_in' must be an integer, got true"),
 }
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from odmlab import rng as rngmod
 from odmlab.conditions import (
     CertificateBudgetError,
+    _window_distance,
     check_identifiable,
     check_loglin,
     check_nbin,
@@ -21,6 +22,7 @@ from odmlab.conditions import (
     loglin_iterate,
     nbin_stationary_mean,
 )
+from odmlab.model import LatentWindow, reduce
 import oracles
 from test_model import loglin_spec, nbin_spec, parx_spec
 
@@ -331,6 +333,28 @@ class TestLipschitz:
         ks = np.arange(1, 31)[est > 0]
         slope = np.polyfit(ks, np.log(est[est > 0]), 1)[0]
         assert slope < 0
+
+    def test_window_distance_takes_every_gap(self):
+        # two windows that differ in one component are that component's gap apart
+        spec = loglin_spec(2, 2)
+        z = LatentWindow(x=(0.5, 1.0), u=(2.0,))
+        assert _window_distance(spec, z, LatentWindow(x=(0.5, 4.0), u=(2.0,))) == 3.0
+        assert _window_distance(spec, z, LatentWindow(x=(0.5, 1.0), u=(-3.0,))) == 5.0
+        spec = parx_spec(q=2, r_dim=2, kinds=("square",))
+
+        def window(x=1.0, xi=(0.0, 0.0), y=2, xi_u=(3.0, 0.0)):
+            return LatentWindow(x=((x, xi),), u=(reduce(spec, (y, xi_u)),))
+
+        z = window()
+        cases = [
+            (dict(x=6.0), 5.0),  # intensity
+            (dict(xi=(0.0, 4.5)), 4.5),  # the latent's covariate rows
+            (dict(y=9), 7.0),  # count
+            (dict(xi_u=(3.5, 0.0)), 3.25),  # squared feature; the rows are 0.5 apart
+            (dict(xi_u=(3.0, 2.0)), 2.0),  # the reduction's covariate rows
+        ]
+        for change, gap in cases:
+            assert _window_distance(spec, z, window(**change)) == gap
 
     def test_pinned_estimates(self):
         # stable and unstable draws of all three families, plus an explosive

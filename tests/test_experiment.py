@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,18 @@ class TestConfigValidation:
             ExperimentConfig(spec=spec, theta_star=th, ns=(100,), replicates=0, seed=0)
         with pytest.raises(ValueError, match="burn_in must be >= 0"):
             ExperimentConfig(spec=spec, theta_star=th, ns=(100,), replicates=2, seed=0, burn_in=-5)
+
+    @pytest.mark.parametrize("field, value", [("replicates", 2.5), ("replicates", True),
+                                              ("burn_in", 2.5), ("ns", (40.5,)), ("ns", (40, 80.0))])
+    def test_non_integer_counts_rejected(self, field, value):
+        spec = loglin_spec()
+        th = spec.params(0.1, [0.4], [0.2])
+        kwargs = dict(spec=spec, theta_star=th, ns=(np.int64(40),), replicates=np.int64(2), seed=0,
+                      burn_in=np.int64(3))
+        ExperimentConfig(**kwargs)  # numpy integers are integers
+        what, bad = ("sample size in ns", value[-1]) if field == "ns" else (field, value)
+        with pytest.raises(ValueError, match=re.escape(f"{what} must be an integer, got {bad!r}")):
+            ExperimentConfig(**{**kwargs, field: value})
 
 
 class TestReportShape:

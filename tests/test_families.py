@@ -25,7 +25,6 @@ from odmlab.model import (
     ModelOrder,
     ModelSpec,
     ParxConfig,
-    _feature_value,
 )
 from odmlab.simulate import covariate_path
 
@@ -233,25 +232,26 @@ class TestCovariates:
 
 class TestFeatures:
     def test_kinds(self):
-        assert parx_spec(kinds=("square",), r_dim=1).parx.feature_values((-2.0,)) == (4.0,)
-        assert parx_spec(kinds=("abs",), r_dim=1).parx.feature_values((-2.0,)) == (2.0,)
-        assert parx_spec(kinds=("pos_part",), r_dim=1).parx.feature_values((-2.0,)) == (0.0,)
+        for kind, value in (("square", 4.0), ("abs", 2.0), ("pos_part", 0.0)):
+            cfg = parx_spec(kinds=(kind,), r_dim=1).parx
+            assert cfg.features([(-2.0,)]).tolist() == [[value]]
+            assert oracles.FEATURE_FORMULAS[kind](-2.0) == value
+        assert set(oracles.FEATURE_FORMULAS) == set(FEATURE_KINDS)
         # the column form, as a prepared series builds it, equals the scalar
-        # form bit for bit, signed zero and NaN included
+        # formulas bit for bit, signed zero and NaN included
         col = np.array([-0.0, math.nan, -2.0, 1.5])
-        assert list(map(repr, _feature_value("pos_part", col).tolist())) == [
-            "0.0", "0.0", "0.0", "1.5"
-        ]
         for kind in FEATURE_KINDS:
             cfg = parx_spec(kinds=(kind,), r_dim=1).parx
-            scalar = [cfg.feature_values((v,))[0] for v in col.tolist()]
-            assert list(map(repr, _feature_value(kind, col).tolist())) == list(map(repr, scalar))
+            got = list(map(repr, cfg.features(col[:, None])[0].tolist()))
+            assert got == [repr(oracles.FEATURE_FORMULAS[kind](v)) for v in col.tolist()]
+            if kind == "pos_part":
+                assert got == ["0.0", "0.0", "0.0", "1.5"]
 
     @pytest.mark.parametrize("r_dim", [1, 2, 3])
     def test_block_equals_rows(self, r_dim):
         # features maps a block at once; row by row, it gives the scalar
         # formulas' bits, signed zeros, NaN and infinities included
-        scalar = {"square": lambda v: v * v, "abs": abs, "pos_part": lambda v: v if v > 0.0 else 0.0}
+        scalar = oracles.FEATURE_FORMULAS
         special = [-0.0, 0.0, math.nan, math.inf, -math.inf, -2.0, 1.5]
         rng = np.random.default_rng(r_dim)
         block = np.vstack([np.array([np.roll(special, j) for j in range(r_dim)]).T,
@@ -263,11 +263,8 @@ class TestFeatures:
                 cols = cfg.features(block)
                 assert cols.shape == (d, len(block)) and cols.dtype == np.float64
                 got = [list(map(repr, row)) for row in cols.T.tolist()]
-                assert got == [list(map(repr, cfg.feature_values(row))) for row in block]
                 assert got == [[repr(scalar[k](v)) for k, v in zip(kinds, row)]
                                for row in block.tolist()]
-        with pytest.raises(DomainError, match="length"):
-            cfg.feature_values(block[0, :-1])
 
     def test_too_many_features_is_config_error(self):
         with pytest.raises(ValueError):
@@ -277,8 +274,10 @@ class TestFeatures:
         rng = np.random.default_rng(2)
         spec = parx_spec(kinds=("square", "pos_part"), r_dim=2)
         for _ in range(100):
-            out = spec.parx.feature_values(rng.normal(0.0, 3.0, 2))
+            row = rng.normal(0.0, 3.0, 2)
+            out = spec.parx.features([row])[:, 0].tolist()
             assert all(v >= 0 for v in out)
+            assert out == list(oracles.parx_features(spec.parx, row))
 
 
 class TestPredictive:

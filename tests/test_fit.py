@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -63,6 +64,15 @@ def test_quasi_random_points_match_the_scalar_radical_inverse():
             pts = _quasi_random_points(dim, count)
             assert pts.shape == (count, dim)
             assert pts.tobytes() == ref[:count, :dim].tobytes(), (dim, count)
+
+
+class TestFitOptions:
+    @pytest.mark.parametrize("field, value", [("starts", 2.5), ("starts", True),
+                                              ("max_evals", 100.5), ("max_evals", True)])
+    def test_non_integer_counts_rejected(self, field, value):
+        FitOptions(**{field: np.int64(3)})  # numpy integers are integers
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            FitOptions(**{field: value})
 
 
 class TestFitMle:

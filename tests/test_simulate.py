@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -38,6 +39,15 @@ class TestDeterminism:
         b = simulate_series(spec, th, SimConfig(n=200, seed=2))
         assert a != b
         assert a.series.y[:10].tolist() != b.series.y[:10].tolist()
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("field, value", [("n", 10.5), ("n", True), ("burn_in", 2.5),
+                                              ("burn_in", True)])
+    def test_non_integer_counts_rejected(self, field, value):
+        SimConfig(**{"n": 10, field: np.int64(3)})  # numpy integers are integers
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            SimConfig(**{"n": 10, field: value})
 
 
 class TestArrays:
@@ -116,13 +126,18 @@ class TestMoments:
         assert abs(est.mean_x - 10.0 / 3.0) < 3.0 * est.se_x
         assert abs(est.mean_y - 20.0 / 3.0) < 3.0 * est.se_y
 
-    @pytest.mark.parametrize("batches", [1, 0, -3])
+    @pytest.mark.parametrize("batches", [1, 0, -3, 2.5, 4.0, True])
     def test_fewer_than_two_batches_rejected(self, batches):
+        # a count that is not an integer is rejected before anything is simulated
         spec = nbin_spec()
         th = spec.params(1.0, [0.3], [0.2], r=2.0)
+        if type(batches) is int:
+            message = f"batches must be >= 2, got {batches}"
+        else:
+            message = f"batches must be an integer, got {batches!r}"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^batches must be >= 2, got {batches}$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 stationary_moment_estimate(spec, th, n=1000, seed=3, batches=batches)
 
     def test_iid_regimes_match_formulas(self):
