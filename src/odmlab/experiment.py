@@ -20,6 +20,7 @@ import numpy as np
 
 from .conditions import check_identifiable
 from .fit import FitOptions, ThetaBox, default_box, fit_mle
+from .likelihood import _load_scipy
 from .model import (
     ModelSpec,
     ObservationSeries,
@@ -65,6 +66,7 @@ class ExperimentConfig:
             raise ValueError("sample sizes must be non-empty and strictly increasing")
         if _integer(self.burn_in, "burn_in") < 0:
             raise ValueError("burn_in must be >= 0")
+        _integer(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,7 @@ def run_mc_consistency(config: ExperimentConfig, workers: Optional[int] = None) 
             )
     nworkers = workers if workers is not None else worker_count(len(jobs))
     if nworkers > 1:
+        _load_scipy()  # once, here: the forked workers inherit it
         with Pool(nworkers) as pool:
             results = pool.map(_run_replicate, jobs)
     else:

@@ -149,8 +149,8 @@ class FitOptions:
     seed: int = 0
 
     def __post_init__(self):
-        _integer(self.starts, "starts")
-        _integer(self.max_evals, "max_evals")
+        for what in ("starts", "max_evals", "polish_max_iter", "seed"):
+            _integer(getattr(self, what), what)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,12 @@ recomputation to 1e-12 absolute on explosive log-linear totals (up to 1e96).
 A private vectorized kernel solves the system with LAPACK ``dtbtrs`` and
 gets the gradient from one transposed solve for the adjoint weights; the
 optimizer and :func:`grad_loglik` use it, and its value agrees with
-:func:`loglik` to rounding.  Both cost O(n * (p + q)).  One private
-prepared form of (series, initial window), numpy arrays built with no loop
-over the observations and iterated in place by the sequential readers,
-feeds the sequential pass, the kernel and the forecast: a fit reduces once.
+:func:`loglik` to rounding; it binds its scipy functions on its first call,
+so importing odmlab, simulating and auditing never load scipy.  Both cost
+O(n * (p + q)).  One private prepared form of (series, initial window),
+numpy arrays built with no loop over the observations and iterated in place
+by the sequential readers, feeds the sequential pass, the kernel and the
+forecast: a fit reduces once.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
-from scipy.special import digamma, gammaln
 
 from .families import CLAMP_HI, CLAMP_LO, ClampWarning, _log_terms, covariate_log_density, lnfact
 from .model import (
@@ -46,6 +46,19 @@ from .model import (
     validate_params,
     validate_window,
 )
+
+
+# the kernel's scipy functions, bound once by _load_scipy: scipy takes longer
+# to import than numpy and odmlab together, and only the kernel needs it
+dtbtrs = gammaln = digamma = None
+
+
+def _load_scipy() -> None:
+    global dtbtrs, gammaln, digamma
+    from scipy import special
+    from scipy.linalg import lapack
+
+    dtbtrs, gammaln, digamma = lapack.dtbtrs, special.gammaln, special.digamma
 
 
 class GradientUndefinedError(ValueError):
@@ -208,6 +221,8 @@ def _kernel(prep: _Prepared, vec: np.ndarray, grad: bool = False):
     clamped log-linear latent, or a latent that is not positive and finite
     for NBIN and PARX) ``grad`` raises ``GradientUndefinedError``.
     """
+    if dtbtrs is None:
+        _load_scipy()
     n, p, fam, y = prep.n, prep.p, prep.family, prep.y
     ab = np.empty((n, p + 1)).T  # Fortran-ordered band: row i holds -a_i
     ab[1:] = -vec[1 : 1 + p, None]

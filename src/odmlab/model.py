@@ -47,6 +47,7 @@ FAMILIES = (LOGLIN, NBIN, PARX)
 # each kind on a numpy column, rounding as on a float; pos_part maps -0.0, NaN to 0.0
 _FEATURES = {"square": np.square, "abs": np.abs, "pos_part": lambda v: np.where(v > 0.0, v, 0.0)}
 FEATURE_KINDS = tuple(_FEATURES)
+_CHECK_BLOCK = 1 << 14  # counts checked per block by ObservationSeries
 
 
 class DomainError(ValueError):
@@ -314,9 +315,12 @@ class ObservationSeries:
         object.__setattr__(self, "y", y)
         if y.size < 1:
             raise ValueError("series must contain at least one observation")
-        ok = (y >= 0.0) & (y < math.inf) & (np.floor(y) == y)  # NaN fails; % 1 warns on inf
-        if not ok.all():
-            raise DomainError(f"counts must be nonnegative integers, got {y[ok.argmin()].item()!r}")
+        for lo in range(0, y.size, _CHECK_BLOCK):  # temporaries of one block, not of n
+            b = y[lo : lo + _CHECK_BLOCK]
+            ok = (b >= 0.0) & (b < math.inf) & (np.floor(b) == b)  # NaN fails; % 1 warns on inf
+            if not ok.all():
+                bad = b[ok.argmin()].item()
+                raise DomainError(f"counts must be nonnegative integers, got {bad!r}")
         if self.covariates is not None:
             cov = _frozen(self.covariates, 2, "covariates")
             object.__setattr__(self, "covariates", cov)

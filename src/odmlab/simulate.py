@@ -63,6 +63,7 @@ class SimConfig:
             raise ValueError("n must be >= 1")
         if _integer(self.burn_in, "burn_in") < 0:
             raise ValueError("burn_in must be >= 0")
+        _integer(self.seed, "seed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +201,7 @@ def stationary_moment_estimate(
     Warns (but proceeds) when the family's stability condition does not
     certify the parameters.
     """
-    batches = _integer(batches, "batches")
+    n, batches = _integer(n, "n"), _integer(batches, "batches")
     if batches < 2:
         raise ValueError(f"batches must be >= 2, got {batches}")
     if n < 2 * batches:

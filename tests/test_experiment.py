@@ -1,4 +1,6 @@
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,16 +35,37 @@ class TestConfigValidation:
             ExperimentConfig(spec=spec, theta_star=th, ns=(100,), replicates=2, seed=0, burn_in=-5)
 
     @pytest.mark.parametrize("field, value", [("replicates", 2.5), ("replicates", True),
-                                              ("burn_in", 2.5), ("ns", (40.5,)), ("ns", (40, 80.0))])
+                                              ("burn_in", 2.5), ("ns", (40.5,)), ("ns", (40, 80.0)),
+                                              ("seed", 1.5), ("seed", True), ("seed", "3")])
     def test_non_integer_counts_rejected(self, field, value):
         spec = loglin_spec()
         th = spec.params(0.1, [0.4], [0.2])
-        kwargs = dict(spec=spec, theta_star=th, ns=(np.int64(40),), replicates=np.int64(2), seed=0,
-                      burn_in=np.int64(3))
+        kwargs = dict(spec=spec, theta_star=th, ns=(np.int64(40),), replicates=np.int64(2),
+                      seed=np.int64(0), burn_in=np.int64(3))
         ExperimentConfig(**kwargs)  # numpy integers are integers
         what, bad = ("sample size in ns", value[-1]) if field == "ns" else (field, value)
         with pytest.raises(ValueError, match=re.escape(f"{what} must be an integer, got {bad!r}")):
             ExperimentConfig(**{**kwargs, field: value})
+
+
+def test_pool_workers_inherit_scipy():
+    # the parent binds the kernel's scipy before it forks, so each new pool's
+    # workers do not import it again; a fresh interpreter has not loaded it
+    probe = (
+        "import sys\n"
+        "from odmlab.experiment import ExperimentConfig, run_mc_consistency\n"
+        "from odmlab.fit import FitOptions\n"
+        "from odmlab.model import LOGLIN, ModelOrder, ModelSpec\n"
+        "spec = ModelSpec(family=LOGLIN, order=ModelOrder(1, 1))\n"
+        "cfg = ExperimentConfig(spec=spec, theta_star=spec.params(0.1, [0.4], [0.2]), ns=(40,),\n"
+        "                       replicates=2, seed=5, fit_opts=FitOptions(starts=1))\n"
+        "print('scipy' in sys.modules)\n"
+        "run_mc_consistency(cfg, workers=2)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 class TestReportShape:

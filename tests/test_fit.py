@@ -68,7 +68,9 @@ def test_quasi_random_points_match_the_scalar_radical_inverse():
 
 class TestFitOptions:
     @pytest.mark.parametrize("field, value", [("starts", 2.5), ("starts", True),
-                                              ("max_evals", 100.5), ("max_evals", True)])
+                                              ("max_evals", 100.5), ("max_evals", True),
+                                              ("polish_max_iter", 2.5), ("seed", 1.5),
+                                              ("seed", True), ("seed", "3")])
     def test_non_integer_counts_rejected(self, field, value):
         FitOptions(**{field: np.int64(3)})  # numpy integers are integers
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -378,6 +380,27 @@ class TestKernel:
         clamps = [w for w in caught if w.category is ClampWarning]
         assert len(clamps) <= res.starts + 1
         assert res.loglik.normalized == max(t.value for t in res.trace)
+
+
+class TestScipyLoad:
+    def test_scipy_loads_with_the_first_fit(self):
+        # a fresh interpreter: this one has loaded scipy for other tests
+        probe = (
+            "import sys\n"
+            "import odmlab, odmlab.cli\n"
+            "from odmlab.model import NBIN, ModelOrder, ModelSpec\n"
+            "print('scipy' in sys.modules)\n"
+            "spec = ModelSpec(family=NBIN, order=ModelOrder(1, 1))\n"
+            "th = spec.params(1.0, [0.3], [0.2], r=2.0)\n"
+            "sim = odmlab.simulate_series(spec, th, odmlab.SimConfig(n=200, seed=3))\n"
+            "odmlab.check_model(spec, th)\n"
+            "print('scipy' in sys.modules)\n"
+            "odmlab.fit_mle(spec, sim.series, opts=odmlab.FitOptions(starts=1))\n"
+            "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.split() == ["False", "False", "True", "True"]
 
 
 class TestFiniteDifferences:

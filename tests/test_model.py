@@ -384,6 +384,15 @@ class TestParamsAndWindows:
             with pytest.raises(DomainError, match="nonnegative integers"):
                 ObservationSeries(y=(1, bad))
 
+    def test_first_bad_count_past_the_first_block(self):
+        y = np.zeros(5 * 2**16)
+        y[70_000], y[200_000] = 2.5, -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                ObservationSeries(y=y)
+        assert str(err.value) == "counts must be nonnegative integers, got 2.5"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_series_rejects_non_finite_covariates(self, bad):
         with pytest.raises(DomainError, match="covariates must be finite"):

@@ -43,11 +43,20 @@ class TestDeterminism:
 
 class TestSimConfig:
     @pytest.mark.parametrize("field, value", [("n", 10.5), ("n", True), ("burn_in", 2.5),
-                                              ("burn_in", True)])
+                                              ("burn_in", True), ("seed", 1.5), ("seed", True),
+                                              ("seed", "3")])
     def test_non_integer_counts_rejected(self, field, value):
         SimConfig(**{"n": 10, field: np.int64(3)})  # numpy integers are integers
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
             SimConfig(**{"n": 10, field: value})
+
+    def test_64_bit_seeds_accepted(self):
+        spec = nbin_spec()
+        th = spec.params(1.0, [0.3], [0.2], r=2.0)
+        seed = int(np.random.SeedSequence(7).generate_state(1, dtype=np.uint64)[0])
+        assert seed >= 2**63
+        a = simulate_series(spec, th, SimConfig(n=20, seed=seed))
+        assert a == simulate_series(spec, th, SimConfig(n=20, seed=np.uint64(seed)))
 
 
 class TestArrays:
@@ -108,6 +117,21 @@ class TestArrays:
             tracemalloc.stop()
         assert peak <= 48 * n
 
+    def test_simulation_peak(self):
+        # counts and latents take 16 bytes a step; checking the counts adds
+        # one bounded block, not a temporary as long as the series
+        spec = nbin_spec()
+        th = spec.params(1.0, [0.3], [0.2], r=2.0)
+        n = 200_000
+        simulate_series(spec, th, SimConfig(n=10, seed=1))  # first use imports numpy.random
+        tracemalloc.start()
+        try:
+            simulate_series(spec, th, SimConfig(n=n - 1, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * n
+
 
 class TestMoments:
     def test_iid_loglin_mean(self):
@@ -139,6 +163,12 @@ class TestMoments:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 stationary_moment_estimate(spec, th, n=1000, seed=3, batches=batches)
+
+    def test_fractional_n_named_as_passed(self):
+        spec = nbin_spec()
+        th = spec.params(1.0, [0.3], [0.2], r=2.0)
+        with pytest.raises(ValueError, match=f"^{re.escape('n must be an integer, got 1000.5')}$"):
+            stationary_moment_estimate(spec, th, n=1000.5, seed=3)
 
     def test_iid_regimes_match_formulas(self):
         spec = nbin_spec()
