@@ -364,6 +364,7 @@ def lipschitz_estimate(
     are lower bounds on the true uniform Lipschitz constants; for a stable
     parameter point they should decay geometrically.
     """
+    n_max, trial_count = _integer(n_max, "n_max"), _integer(trial_count, "trial_count")
     out = np.zeros(n_max)
     for _ in range(trial_count):
         z1 = _sample_window(spec, rng)

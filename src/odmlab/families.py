@@ -160,47 +160,21 @@ def covariate_log_density(spec: ModelSpec, xi_prev, xi_next):
 def bind_sampler(spec: ModelSpec, theta: ParameterVector, rng: np.random.Generator):
     """The family's count draw at latent ``x``, bound once to (spec, theta, rng).
 
-    The returned function maps ``x`` to one count and raises ``DomainError``
-    outside the family's domain.  Each call draws from ``rng`` in a fixed
-    order: NBIN draws gamma, then poisson (the gamma-Poisson mixture, so the
-    shape may be any positive real, and no gamma at x = 0); the Poisson
-    families draw poisson only.  For PARX, ``x`` is the intensity component:
-    the covariates do not depend on the counts.
+    The returned function maps ``x`` to one count.  It checks nothing: ``x``
+    must lie in the simulator's safe range (``simulate.SAFE_RANGE``).  Each
+    call draws from ``rng`` in a fixed order: NBIN draws gamma, then poisson
+    (the gamma-Poisson mixture, so the shape may be any positive real, and no
+    gamma at x = 0); the Poisson families draw poisson only.  For PARX, ``x``
+    is the intensity component: the covariates do not depend on the counts.
     """
     poisson = rng.poisson
     if spec.family == LOGLIN:
         exp = math.exp
-
-        def draw(x):
-            if x > CLAMP_HI:
-                raise DomainError(
-                    f"latent {x:.6g} gives Poisson mean e^x beyond double range; "
-                    "run the stability check on these parameters"
-                )
-            mean = exp(x)
-            if mean > 4.0e18:  # sampler rejects larger means
-                raise DomainError(
-                    f"latent {x:.6g} gives Poisson mean {mean:.3g} beyond the sampler range; "
-                    "run the stability check on these parameters"
-                )
-            return int(poisson(mean))
-
-    elif spec.family == NBIN:
+        return lambda x: int(poisson(exp(x)))
+    if spec.family == NBIN:
         gamma, r = rng.gamma, theta.r
-
-        def draw(x):
-            if x < 0.0:
-                raise DomainError(f"NBIN latent must be >= 0, got {x}")
-            return int(poisson(gamma(r, x) if x > 0.0 else 0.0))
-
-    else:
-
-        def draw(x):
-            if x < 0.0:
-                raise DomainError(f"PARX intensity must be >= 0, got {x}")
-            return int(poisson(x))
-
-    return draw
+        return lambda x: int(poisson(gamma(r, x) if x > 0.0 else 0.0))
+    return lambda x: int(poisson(x))
 
 
 def predictive(spec: ModelSpec, theta: ParameterVector, x) -> PredictiveDistribution:

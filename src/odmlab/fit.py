@@ -62,7 +62,7 @@ TOL_SIMPLEX = 1e-6
 
 
 class FitFailureError(RuntimeError):
-    """Every start produced a non-finite objective."""
+    """No start is finite, or none of the finite ones passes the stability check."""
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,9 @@ class FitOptions:
     def __post_init__(self):
         for what in ("starts", "max_evals", "polish_max_iter", "seed"):
             _integer(getattr(self, what), what)
+        for what in ("polish", "require_stability", "guard_override"):
+            if not isinstance(getattr(self, what), bool):
+                raise ValueError(f"{what} must be True or False, got {getattr(self, what)!r}")
 
 
 @dataclass(frozen=True)
@@ -363,7 +366,7 @@ def fit_mle(
     and any ``opts.extra_starts``; each runs simplex descent then (by
     default) a projected-gradient polish.  The best final value wins, ties
     broken by lowest start index.  Raises ``FitFailureError`` when every
-    start is non-finite.
+    start is non-finite, or every finite one fails ``require_stability``.
     """
     opts = opts or FitOptions()
     box = box or default_box(spec)
@@ -466,9 +469,11 @@ def fit_mle(
 
     candidates = [t for t in traces if not t.excluded and math.isfinite(t.value)]
     if not candidates:
+        cause = ("every start with a finite objective was excluded by the stability check"
+                 if any(t.excluded for t in traces)
+                 else "every start produced a non-finite objective")
         raise FitFailureError(
-            "every start produced a non-finite objective; check the data/box pairing "
-            f"(family {spec.family}, n = {series.n})"
+            f"{cause}; check the data/box pairing (family {spec.family}, n = {series.n})"
         )
     best = max(candidates, key=lambda t: (t.value, -t.start_index))
     theta_hat = unpack_params(spec, best.final)

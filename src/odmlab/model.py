@@ -48,6 +48,7 @@ FAMILIES = (LOGLIN, NBIN, PARX)
 _FEATURES = {"square": np.square, "abs": np.abs, "pos_part": lambda v: np.where(v > 0.0, v, 0.0)}
 FEATURE_KINDS = tuple(_FEATURES)
 _CHECK_BLOCK = 1 << 14  # counts checked per block by ObservationSeries
+_BOOL_TYPES = frozenset((bool, np.bool_))  # float() takes them, but a bool is not a coefficient
 
 
 class DomainError(ValueError):
@@ -69,7 +70,7 @@ class ModelOrder:
     q: int
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
+        if _integer(self.p, "p") < 1 or _integer(self.q, "q") < 1:
             raise ValueError(f"order must satisfy p >= 1 and q >= 1, got ({self.p}, {self.q})")
 
 
@@ -89,7 +90,7 @@ class ParxConfig:
     sigma: float
 
     def __post_init__(self):
-        if self.r_dim < 1:
+        if _integer(self.r_dim, "r_dim") < 1:
             raise ValueError("covariate dimension must be >= 1")
         if not self.feature_kinds:
             raise ValueError("at least one feature is required")
@@ -150,13 +151,21 @@ class ModelSpec:
         return self.order.q
 
     def params(self, omega, a, b, r=None, gamma=None) -> "ParameterVector":
-        """Build and validate a parameter vector for this family."""
+        """Build and validate a parameter vector; ValueError names a bool coefficient."""
+        a, b, gammas = tuple(a), tuple(b), () if gamma is None else tuple(gamma)
+        values = (omega, *a, *b, r, *gammas)
+        if not _BOOL_TYPES.isdisjoint(map(type, values)):
+            names = ["omega", *(f"a{i}" for i in range(1, len(a) + 1)),
+                     *(f"b{i}" for i in range(1, len(b) + 1)), "r",
+                     *(f"gamma{i}" for i in range(1, len(gammas) + 1))]
+            name, value = next(nv for nv in zip(names, values) if type(nv[1]) in _BOOL_TYPES)
+            raise ValueError(f"{name} must be a number, got {value!r}")
         theta = ParameterVector(
             omega=float(omega),
-            a=tuple(float(v) for v in a),
-            b=tuple(float(v) for v in b),
+            a=tuple(map(float, a)),
+            b=tuple(map(float, b)),
             r=None if r is None else float(r),
-            gamma=None if gamma is None else tuple(float(v) for v in gamma),
+            gamma=None if gamma is None else tuple(map(float, gammas)),
         )
         validate_params(self, theta)
         return theta

@@ -27,8 +27,8 @@ from .conditions import check_model
 from .families import bind_sampler
 from .model import (
     LOGLIN,
+    NBIN,
     PARX,
-    DomainError,
     LatentWindow,
     ModelSpec,
     ObservationSeries,
@@ -43,8 +43,12 @@ from .model import (
     validate_window,
 )
 
-EXPLOSION_LOGLIN = 1e3  # on |x|
-EXPLOSION_OTHER = 1e12  # on x
+# The latents simulate_series draws at, per family; NaN is in none.  The
+# log-linear top is the largest double whose exp, the Poisson mean, is <= 4e18.
+_LOGLIN_HI = math.log(4.0e18)
+while math.exp(_LOGLIN_HI) > 4.0e18:
+    _LOGLIN_HI = math.nextafter(_LOGLIN_HI, -math.inf)
+SAFE_RANGE = {LOGLIN: (-1e3, _LOGLIN_HI), NBIN: (0.0, 1e12), PARX: (0.0, 1e12)}
 
 
 class LatentExplosionError(RuntimeError):
@@ -105,22 +109,17 @@ def covariate_path(cfg: ParxConfig, xi0, noise: np.ndarray) -> np.ndarray:
     return path
 
 
-def _explosion(x: float, limit: float, t: int) -> LatentExplosionError:
-    return LatentExplosionError(
-        f"latent {x:.6g} left the safe range (limit {limit:.0e}) at step {t}; "
-        "run the stability check on these parameters"
-    )
-
-
 def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> SimResult:
     """Generate ``burn_in + n + 1`` steps and return the last ``n + 1``.
 
     Fully determined by ``cfg.seed``: step t draws its count from the
     observation substream (NBIN: gamma, then poisson), and the PARX covariate
     noise of all steps is drawn up front as one block from the covariate
-    substream.  Raises ``LatentExplosionError`` when the latent leaves the
-    safe range (|x| > 1e3 log-linear, x > 1e12 otherwise), which for
-    sustained runs means the parameters fail their stability condition.
+    substream.  Raises ``LatentExplosionError`` at the first step whose
+    latent leaves ``SAFE_RANGE`` ([-1e3, 42.83282603501271] log-linear, the
+    top being the largest x with e^x <= 4e18; [0, 1e12] otherwise; never
+    NaN), which for sustained runs means the parameters fail their stability
+    condition.
     """
     validate_params(spec, theta)
     z0 = cfg.z_init if cfg.z_init is not None else default_simulation_window(spec, theta)
@@ -130,8 +129,7 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
     draw = bind_sampler(spec, theta, rngmod.substream(cfg.seed, rngmod.OBSERVATION))
     omega, a, b, gamma = theta.omega, theta.a, theta.b, theta.gamma or ()
     loglin = spec.family == LOGLIN
-    limit = EXPLOSION_LOGLIN if loglin else EXPLOSION_OTHER
-    lo = -limit if loglin else 0.0
+    lo, hi = SAFE_RANGE[spec.family]
     log1p = math.log1p
     ys, xs = np.empty(n + 1), np.empty(n + 1)
     # item assignment through a memoryview: the cheapest store of one number
@@ -155,12 +153,12 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
     x = xw[-1]
     step, observe = xw.append, uw.append
     for k in range(-burn_in, n + 1):  # k = t - burn_in at step t
-        if not lo <= x <= limit:
-            raise _explosion(x, limit, k + burn_in)
-        try:
-            y = draw(x)
-        except DomainError as exc:
-            raise LatentExplosionError(f"at step {k + burn_in}: {exc}") from exc
+        if not lo <= x <= hi:
+            raise LatentExplosionError(
+                f"latent {x:.6g} left the safe range (limit {lo if x < lo else hi:.6g}) "
+                f"at step {k + burn_in}; run the stability check on these parameters"
+            )
+        y = draw(x)
         if k >= 0:
             keep_y[k] = y
             keep_x[k] = x

@@ -154,6 +154,9 @@ ERROR_FILES = {
     "mc_seed_fraction.json": {**MC_CONFIG, "seed": 1.5},
     "mc_burn_in_fraction.json": {**MC_CONFIG, "burn_in": 10.9},
     "mc_burn_in_bool.json": {**MC_CONFIG, "burn_in": True},
+    "mc_omega_bool.json": {**MC_CONFIG, "theta_star": {"omega": True, "a": [0.5], "b": [0.3]}},
+    "mc_xi_dim_bool.json": {**MC_CONFIG, "family": "parx", "xi_dim": True, "theta_star": {
+        "omega": 0.5, "a": [0.3], "b": [0.2], "gamma": [0.3]}},
 }
 FORECAST = ("forecast", "--family", "loglin", "--data", "loglin.csv", "--theta-file")
 # argv, and a piece of the one error line
@@ -211,6 +214,10 @@ ERROR_TABLE = {
                             "config 'burn_in' must be an integer, got 10.9"),
     "mc_burn_in_bool": (("mc-consistency", "--config", "mc_burn_in_bool.json"),
                         "config 'burn_in' must be an integer, got true"),
+    "mc_omega_bool": (("mc-consistency", "--config", "mc_omega_bool.json"),
+                      "omega must be a number, got True"),
+    "mc_xi_dim_bool": (("mc-consistency", "--config", "mc_xi_dim_bool.json"),
+                       "r_dim must be an integer, got True"),
 }
 
 

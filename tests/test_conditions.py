@@ -334,6 +334,16 @@ class TestLipschitz:
         slope = np.polyfit(ks, np.log(est[est > 0]), 1)[0]
         assert slope < 0
 
+    @pytest.mark.parametrize("field, value", [("n_max", 2.5), ("n_max", True),
+                                              ("trial_count", 3.0), ("trial_count", "3")])
+    def test_counts_must_be_integers(self, field, value):
+        spec = loglin_spec()
+        th = spec.params(0.1, [0.5], [0.3])
+        counts = {"n_max": np.int64(4), "trial_count": np.int64(2)}
+        lipschitz_estimate(spec, th, **counts, rng=rngmod.substream(4, 0))
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            lipschitz_estimate(spec, th, **{**counts, field: value}, rng=rngmod.substream(4, 0))
+
     def test_window_distance_takes_every_gap(self):
         # two windows that differ in one component are that component's gap apart
         spec = loglin_spec(2, 2)

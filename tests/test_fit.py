@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from odmlab.fit import (
+    FitFailureError,
     FitOptions,
     ThetaBox,
     _quasi_random_points,
@@ -75,6 +76,30 @@ class TestFitOptions:
         FitOptions(**{field: np.int64(3)})  # numpy integers are integers
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
             FitOptions(**{field: value})
+
+
+    @pytest.mark.parametrize("field, value", [("polish", "no"), ("polish", 1),
+                                              ("require_stability", "False"),
+                                              ("guard_override", np.True_)])
+    def test_flags_must_be_booleans(self, field, value):
+        FitOptions(**{field: True})
+        with pytest.raises(ValueError, match=f"^{field} must be True or False, got {value!r}$"):
+            FitOptions(**{field: value})
+
+
+class TestFitFailure:
+    def test_every_finite_start_excluded_by_stability(self):
+        spec = loglin_spec()
+        sim = simulate_series(spec, spec.params(0.1, [0.5], [0.3]), SimConfig(n=300, seed=4))
+        box = make_box(spec, [-5.0, 0.99, 0.5], [5.0, 0.99, 0.5])  # a1 + b1 > 1
+        opts = FitOptions(starts=2, require_stability=True)
+        with pytest.raises(FitFailureError, match="^every start with a finite objective was "
+                                                  "excluded by the stability check; "):
+            fit_mle(spec, sim.series, box=box, opts=opts)
+        # the same starts without the check are finite, and fail it
+        res = fit_mle(spec, sim.series, box=box, opts=FitOptions(starts=2))
+        assert all(math.isfinite(t.value) for t in res.trace)
+        assert res.condition_report.verdict == "Fail"
 
 
 class TestFitMle:

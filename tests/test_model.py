@@ -360,6 +360,29 @@ class TestParamsAndWindows:
         with pytest.raises(ValueError):
             ParxConfig(r_dim=1, feature_kinds=("abs",), aleph=((0.5,),), sigma=0.0)
 
+    @pytest.mark.parametrize("p, q, field, value", [(2.0, 1, "p", 2.0), (True, 1, "p", True),
+                                                    (1, 1.5, "q", 1.5), (1, "2", "q", "2")])
+    def test_order_must_be_integers(self, p, q, field, value):
+        ModelOrder(np.int64(2), np.int64(1))  # numpy integers are integers
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            ModelOrder(p, q)
+
+    @pytest.mark.parametrize("r_dim", [True, 1.0])
+    def test_parx_dimension_must_be_an_integer(self, r_dim):
+        with pytest.raises(ValueError, match=f"^r_dim must be an integer, got {r_dim!r}$"):
+            ParxConfig(r_dim=r_dim, feature_kinds=("abs",), aleph=((0.5,),), sigma=1.0)
+
+    @pytest.mark.parametrize("field, spec, args", [
+        ("omega", loglin_spec(), (True, [0.1], [0.3])),
+        ("a1", loglin_spec(), (0.1, [False], [0.3])),
+        ("b2", loglin_spec(1, 2), (0.1, [0.2], [0.3, np.True_])),
+        ("r", nbin_spec(), (1.0, [0.1], [0.3], True)),
+        ("gamma2", parx_spec(), (1.0, [0.1], [0.3], None, [0.2, False])),
+    ])
+    def test_a_bool_is_not_a_coefficient(self, field, spec, args):
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
+            spec.params(*args)
+
     @pytest.mark.parametrize("r_dim", [1, 2])
     def test_parx_config_rejects_non_finite_constants(self, r_dim):
         eye = tuple(tuple(0.5 * (i == j) for j in range(r_dim)) for i in range(r_dim))

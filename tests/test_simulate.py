@@ -254,6 +254,98 @@ class TestExplosion:
         assert len(sim.latents) == 5001
 
 
+# The largest double whose exp is at most 4e18, the largest Poisson mean the
+# log-linear simulation draws from.
+LOGLIN_HI = 42.83282603501271
+
+
+def _from_window(spec, theta, x0):
+    """Simulate one step past a window whose latents are all ``x0``, with no burn-in."""
+    z = constant_window(spec, x0, 0)
+    return simulate_series(spec, theta, SimConfig(n=1, burn_in=0, seed=5, z_init=z))
+
+
+def _failure(spec, theta, **cfg):
+    """(exception class, failing step, latent as printed) of a simulation that must fail."""
+    with pytest.raises(Exception) as info:
+        simulate_series(spec, theta, SimConfig(**cfg))
+    text = str(info.value)
+    return (type(info.value).__name__, int(re.search(r"at step (\d+)", text)[1]),
+            re.search(r"latent (\S+) ", text)[1])
+
+
+def _explosive_cases():
+    ll11, ll22, nb11, nb22 = loglin_spec(), loglin_spec(2, 2), nbin_spec(), nbin_spec(2, 2)
+    px11, px22 = parx_spec(), parx_spec(2, 2)
+    zero = ll11.params(0.0, [0.0], [0.0])
+    return {
+        "loglin11_grow": (ll11, ll11.params(1.0, [1.8], [0.9]), None),
+        "loglin11_jump_beyond_exp": (ll11, ll11.params(1.0, [0.5], [20.0]), None),
+        "loglin11_jump_beyond_700": (ll11, ll11.params(1.0, [0.5], [25.0]), None),
+        "loglin11_jump_beyond_1e3": (ll11, ll11.params(1.0, [0.5], [30.0]), None),
+        "loglin11_sink": (ll11, ll11.params(-5.0, [1.2], [0.0]), None),
+        "loglin11_oscillate": (ll11, ll11.params(0.5, [-1.5], [0.2]), None),
+        "loglin11_window_500": (ll11, zero, constant_window(ll11, 500.0, 0)),
+        "loglin11_window_1e3": (ll11, zero, constant_window(ll11, 1e3, 0)),
+        "loglin11_window_nan": (ll11, zero, constant_window(ll11, math.nan, 0)),
+        "loglin22_grow": (ll22, ll22.params(0.5, [0.7, 0.5], [0.3, 0.2]), None),
+        "loglin22_sink": (ll22, ll22.params(-3.0, [0.8, 0.4], [0.1, 0.0]), None),
+        "nbin11": (nb11, nb11.params(1.0, [0.9], [0.4], r=3.0), None),
+        "nbin22": (nb22, nb22.params(0.5, [0.6, 0.3], [0.2, 0.2], r=2.0), None),
+        "parx11": (px11, px11.params(1.0, [0.7], [0.6], gamma=[0.3, 0.2]), None),
+        "parx22": (px22, px22.params(0.5, [0.5, 0.3], [0.3, 0.2], gamma=[0.1, 0.1]), None),
+    }
+
+
+# (exception class, failing step, latent) of each explosive point, read off
+# the simulator while the sampler still made its own range checks.
+EXPLOSIVE_FAILURES = {
+    "loglin11_grow": ("LatentExplosionError", 4, "49.8716"),
+    "loglin11_jump_beyond_1e3": ("LatentExplosionError", 2, "1036.73"),
+    "loglin11_jump_beyond_700": ("LatentExplosionError", 2, "726.865"),
+    "loglin11_jump_beyond_exp": ("LatentExplosionError", 2, "471.931"),
+    "loglin11_oscillate": ("LatentExplosionError", 15, "75.7436"),
+    "loglin11_sink": ("LatentExplosionError", 21, "-1125.13"),
+    "loglin11_window_1e3": ("LatentExplosionError", 0, "1000"),
+    "loglin11_window_500": ("LatentExplosionError", 0, "500"),
+    "loglin11_window_nan": ("LatentExplosionError", 0, "nan"),
+    "loglin22_grow": ("LatentExplosionError", 10, "48.3732"),
+    "loglin22_sink": ("LatentExplosionError", 31, "-1109.24"),
+    "nbin11": ("LatentExplosionError", 37, "2.04257e+12"),
+    "nbin22": ("LatentExplosionError", 74, "1.26597e+12"),
+    "parx11": ("LatentExplosionError", 99, "1.04472e+12"),
+    "parx22": ("LatentExplosionError", 138, "1.00173e+12"),
+}
+
+
+class TestSafeRange:
+    def test_loglin_bound_is_the_largest_drawable_latent(self):
+        assert math.exp(LOGLIN_HI) <= 4e18 < math.exp(math.nextafter(LOGLIN_HI, math.inf))
+        spec = loglin_spec()
+        th = spec.params(0.0, [0.0], [0.0])
+        sim = _from_window(spec, th, LOGLIN_HI)
+        assert sim.latents[0] == LOGLIN_HI and sim.series.y[0] > 1e18
+        assert _from_window(spec, th, -1e3).series.y[0] == 0
+        for x0 in (math.nextafter(LOGLIN_HI, math.inf), math.nextafter(-1e3, -math.inf)):
+            with pytest.raises(LatentExplosionError, match=r"at step 0\b"):
+                _from_window(spec, th, x0)
+
+    @pytest.mark.parametrize("family", ["nbin", "parx"])
+    def test_upper_bound_is_1e12(self, family):
+        spec = nbin_spec() if family == "nbin" else parx_spec()
+        extra = {"r": 2.0} if family == "nbin" else {"gamma": [0.0, 0.0]}
+        th = spec.params(1.0, [0.0], [0.0], **extra)
+        assert _from_window(spec, th, 1e12).latents[0] == 1e12
+        with pytest.raises(LatentExplosionError, match=r"at step 0\b"):
+            _from_window(spec, th, math.nextafter(1e12, math.inf))
+
+    @pytest.mark.parametrize("name", sorted(_explosive_cases()))
+    def test_explosive_point_fails_where_pinned(self, name):
+        spec, th, z = _explosive_cases()[name]
+        got = _failure(spec, th, n=100_000, burn_in=0, seed=3, z_init=z)
+        assert got == EXPLOSIVE_FAILURES[name]
+
+
 def test_default_simulation_windows_are_admissible():
     for spec, th in [
         (loglin_spec(2, 2), loglin_spec(2, 2).params(0.1, [0.2, 0.1], [0.1, 0.1])),
@@ -342,7 +434,7 @@ PINNED_DIGESTS = {
     "parx_r2_pos_part_square": "f87e3260d21624d3472956cd44a77b070e0d8f080cfda6538d5e476b98b2a497",
 }
 LOGLIN_ERROR = (
-    "at step 5: latent 97.8067 gives Poisson mean 3e+42 beyond the sampler range; "
+    "latent 97.8067 left the safe range (limit 42.8328) at step 5; "
     "run the stability check on these parameters"
 )
 NBIN_ERROR = (
