@@ -1,16 +1,14 @@
 """Demo: geometric forgetting of the initial window.
 
 Iterates two different starting windows under the same observed counts and
-prints the latent gap per step together with the fitted decay slope, then
-compares against the empirical n-step contraction bounds.
+prints the latent gap per step together with the fitted decay slope.
 """
 
 import math
 
 import numpy as np
 
-from odmlab import rng as rngmod
-from odmlab.conditions import check_loglin, lipschitz_estimate
+from odmlab.conditions import check_loglin
 from odmlab.model import LatentWindow, ModelOrder, ModelSpec, embed_step, project_latent
 
 
@@ -31,11 +29,6 @@ def main():
     print(f"fitted log-gap slope {slope:.6f} (ln a1 = {math.log(abs(theta.a[0])):.6f})")
     for k in (1, 5, 10, 20, 40, 60):
         print(f"  k={k:3d}  gap={gaps[k - 1]:.3e}")
-
-    est = lipschitz_estimate(spec, theta, 20, 50, rngmod.substream(7, 0))
-    print("empirical n-step contraction bounds (max over 50 window pairs):")
-    for k in (1, 5, 10, 20):
-        print(f"  n={k:3d}  L_hat={est[k - 1]:.3e}  |a1|^n={abs(theta.a[0]) ** k:.3e}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from .conditions import (
     check_nbin,
     check_parx,
     in_unit_disk_stable,
-    lipschitz_estimate,
     loglin_iterate,
     nbin_stationary_mean,
 )

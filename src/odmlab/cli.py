@@ -256,7 +256,6 @@ def cmd_fit(args) -> int:
     opts = FitOptions(
         starts=args.starts,
         max_evals=args.max_evals,
-        polish=not args.no_polish,
         require_stability=args.require_stable,
         guard_override=args.guard_override,
         seed=args.seed,
@@ -331,7 +330,7 @@ def cmd_forecast(args) -> int:
 
 
 # the config's "fit" keys; each overrides the FitOptions default of the same name
-MC_FIT_KEYS = ("starts", "polish", "guard_override", "max_evals")
+MC_FIT_KEYS = ("starts", "guard_override", "max_evals")
 
 
 def _json_object(value, what: str) -> dict:
@@ -366,7 +365,7 @@ def cmd_mc_consistency(args) -> int:
     theta_raw = _json_object(raw.get("theta_star", {}), "config 'theta_star'")
     ns = argparse.Namespace(
         family=raw.get("family"),
-        xi_dim=raw.get("xi_dim", 1),
+        xi_dim=_json_int(raw.get("xi_dim", 1), "config 'xi_dim'"),
         feature=raw.get("feature", ["abs"]),
         aleph=raw.get("aleph"),
         sigma=raw.get("sigma", 1.0),
@@ -460,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--starts", type=int, default=FitOptions.starts)
     pf.add_argument("--max-evals", type=int, default=FitOptions.max_evals)
     pf.add_argument("--seed", type=int, default=FitOptions.seed)
-    pf.add_argument("--no-polish", action="store_true")
     pf.add_argument("--require-stable", action="store_true")
     pf.add_argument("--guard-override", action="store_true")
     pf.add_argument("--out", default=None)

@@ -38,13 +38,9 @@ import numpy as np
 from .model import (
     LOGLIN,
     NBIN,
-    PARX,
-    LatentWindow,
     ModelSpec,
     ParameterVector,
     _integer,
-    _reduce_all,
-    _window_path,
     validate_params,
 )
 
@@ -301,83 +297,6 @@ def check_identifiable(a, b) -> ConditionReport:
     ok = margin > TOL_ROOT
     checks = (ConditionCheck("min_scaled_latent_poly_at_roots", margin, TOL_ROOT, ok),)
     return ConditionReport(verdict="Pass" if ok else "Fail", checks=checks)
-
-
-# --- contraction diagnostics ---------------------------------------------------
-
-
-def _window_distance(spec: ModelSpec, z: LatentWindow, z2: LatentWindow) -> float:
-    """The largest gap between two windows' slots over every component: the
-    scalar gap, each PARX feature gap and the Euclidean gap of the PARX
-    covariate rows."""
-    slots = zip(z.x + z.u, z2.x + z2.u)
-    if spec.family != PARX:
-        return max(abs(v - w) for v, w in slots)
-    gaps = []
-    for v, w in slots:
-        gaps += [abs(v[0] - w[0]), math.dist(v[-1], w[-1])]
-        if len(v) == 3:  # a reduction (y, features, xi); a latent is (x, xi)
-            gaps += [abs(f - g) for f, g in zip(v[1], w[1])]
-    return max(gaps)
-
-
-def _sample_window(spec: ModelSpec, rng: np.random.Generator) -> LatentWindow:
-    p, q = spec.p, spec.q
-    if spec.family == LOGLIN:
-        xs = rng.normal(0.0, 1.5, p).tolist()
-        ys = _sample_observations(spec, rng, q - 1)
-    elif spec.family == NBIN:
-        xs = rng.gamma(2.0, 2.0, p).tolist()
-        ys = rng.poisson(3.0, q - 1).tolist()
-    else:
-        r_dim = spec.parx.r_dim
-        xs = [(float(rng.gamma(2.0, 2.0)), tuple(rng.normal(0.0, 1.0, r_dim).tolist()))
-              for _ in range(p)]
-        ys = _sample_observations(spec, rng, q - 1)
-    return LatentWindow(x=tuple(xs), u=tuple(_reduce_all(spec, ys)))
-
-
-def _sample_observations(spec: ModelSpec, rng: np.random.Generator, n: int):
-    if spec.family == PARX:
-        r_dim = spec.parx.r_dim
-        return [
-            (int(rng.poisson(3.0)), tuple(float(v) for v in rng.normal(0.0, 1.0, r_dim)))
-            for _ in range(n)
-        ]
-    return [int(v) for v in rng.poisson(2.0, n)]
-
-
-def lipschitz_estimate(
-    spec: ModelSpec,
-    theta: ParameterVector,
-    n_max: int,
-    trial_count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Empirical lower bounds on the n-step contraction coefficients.
-
-    For each trial, draw two windows and a shared observation sequence,
-    iterate both, and record the ratio of the latent gap at step n to the
-    initial window distance; the maximum over trials is reported per n, and
-    a NaN ratio (both paths overflowed) is skipped.  The PARX latents carry
-    the same covariate row, so their gap is that of the intensities.  These
-    are lower bounds on the true uniform Lipschitz constants; for a stable
-    parameter point they should decay geometrically.
-    """
-    n_max, trial_count = _integer(n_max, "n_max"), _integer(trial_count, "trial_count")
-    out = np.zeros(n_max)
-    for _ in range(trial_count):
-        z1 = _sample_window(spec, rng)
-        z2 = _sample_window(spec, rng)
-        d0 = _window_distance(spec, z1, z2)
-        if d0 == 0.0:
-            continue
-        u = _reduce_all(spec, _sample_observations(spec, rng, n_max))
-        x1 = _window_path(spec, theta, z1, u)
-        x2 = _window_path(spec, theta, z2, u)
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge / d0
-            np.fmax(out, np.abs(np.subtract(x1, x2)) / d0, out=out)
-    return out
 
 
 def nbin_stationary_mean(spec: ModelSpec, theta: ParameterVector) -> tuple[float, float]:

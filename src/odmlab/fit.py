@@ -1,11 +1,12 @@
 """Maximum likelihood over a compact box, plus one-step forecasting.
 
-The optimizer is multistart local search: a derivative-free simplex descent
-on the negative normalized log-likelihood followed by a projected-gradient
-polish using the exact gradient.  It is implemented here rather than
-delegated so that box projection and tie-breaking are explicit and every
-seeded run is bit-reproducible.  Coordinates whose box is a single point are
-pinned and excluded from the search.
+The optimizer is multistart local search: from each start, one projected
+quasi-Newton search on the negative normalized log-likelihood and its exact
+gradient.  It is implemented here rather than delegated so that box
+projection, the rejection of points where the likelihood or its gradient is
+undefined, and tie-breaking are explicit, and every seeded run is
+bit-reproducible.  Coordinates whose box is a single point are pinned and
+excluded from the search.
 
 The search evaluates the likelihood's vectorized kernel, which agrees with
 the sequential pass to rounding.  Each start's final point is then
@@ -55,10 +56,16 @@ from .model import (
 )
 
 _POS_FLOOR = 1e-8  # hard floor for strictly positive coordinates
-# The simplex stops when its values spread by less than TOL_VALUE and its
-# diameter is below TOL_SIMPLEX relative to 1 + the best vertex's max-norm.
-TOL_VALUE = 1e-8
-TOL_SIMPLEX = 1e-6
+# The search converges when the projected gradient's max-norm is at most
+# TOL_PGRAD, or an accepted step lowers the objective by at most TOL_REL
+# relative to max(1, |value|).  The objective is the normalized negative
+# log-likelihood, so both tolerances are per term.
+TOL_PGRAD = 1e-10
+TOL_REL = 1e-15
+ARMIJO = 1e-4  # share of the first-order decrease a step must achieve
+MAX_HALVINGS = 20
+EPS_BIND = 1e-3  # cap on the distance at which a pressed coordinate counts as bound
+CURVATURE = 1e-10  # an update needs s.y above this times |s| |y|
 
 
 class FitFailureError(RuntimeError):
@@ -141,9 +148,8 @@ def default_box(spec: ModelSpec) -> ThetaBox:
 class FitOptions:
     starts: int = 8
     extra_starts: tuple = ()  # ParameterVector candidates evaluated as extra starts
-    max_evals: int = 4000
-    polish: bool = True
-    polish_max_iter: int = 200
+    max_evals: int = 4000  # value-and-gradient evaluations per start
+    polish_max_iter: int = 200  # iterations of each start's search
     require_stability: bool = False
     guard_override: bool = False
     seed: int = 0
@@ -151,7 +157,7 @@ class FitOptions:
     def __post_init__(self):
         for what in ("starts", "max_evals", "polish_max_iter", "seed"):
             _integer(getattr(self, what), what)
-        for what in ("polish", "require_stability", "guard_override"):
+        for what in ("require_stability", "guard_override"):
             if not isinstance(getattr(self, what), bool):
                 raise ValueError(f"{what} must be True or False, got {getattr(self, what)!r}")
 
@@ -162,9 +168,9 @@ class StartTrace:
     initial: tuple[float, ...]
     final: tuple[float, ...]
     value: float
-    evals: int
+    evals: int  # value-and-gradient evaluations
     converged: bool
-    polish: str  # "ok" | "skipped" | "off"
+    polish: str  # "skipped" when the search rejected its start, else "ok"
     excluded: bool = False
 
 
@@ -250,107 +256,84 @@ def _data_informed_start(spec: ModelSpec, series: ObservationSeries, box: ThetaB
     return box.clip(np.array(vec, dtype=float))
 
 
-@np.errstate(invalid="ignore")  # a spread of inf - inf is NaN and fails the stopping test
-def _nelder_mead(fn, x0, lo, hi, max_evals):
-    """Minimize fn over the box via the classic simplex method.
+def _projected_bfgs(fg, x0, lo, hi, max_iter, max_evals):
+    """Minimize over the box [lo, hi] by projected quasi-Newton search.
 
-    Vertices are projected into the box before every evaluation.  Returns
-    (best_x, best_f, evals, converged).
+    The method is Bertsekas's (SIAM J. Control Optim. 20, 1982): a dense
+    BFGS inverse Hessian steers the free coordinates, those the gradient
+    does not press against a box face, while the pressed ones take steepest
+    descent into their face.  An Armijo backtrack runs along the projection
+    arc, starting from twice the last accepted step.  ``fg(x)`` returns
+    (value, gradient); a non-finite value or a raised
+    ``GradientUndefinedError`` rejects the point.  Returns (x, evals, iters,
+    converged, status), where status is "skipped" when the start itself is
+    rejected and x is then the start, else "ok".
     """
-    d = x0.size
     evals = 0
 
-    def f(x):
+    def evaluate(x):
         nonlocal evals
         evals += 1
-        return fn(np.minimum(np.maximum(x, lo), hi))
-
-    step = 0.05 * (hi - lo)
-    step = np.where(np.isfinite(step) & (step != 0.0), step, 0.05 * np.maximum(1.0, np.abs(x0)))
-    sim = np.tile(x0, (d + 1, 1))
-    diag = np.arange(d)
-    sim[diag + 1, diag] = np.where(x0 + step <= hi, x0 + step, x0 - step)
-    sim = np.minimum(np.maximum(sim, lo), hi)
-    fs = np.array([f(v) for v in sim])
-
-    converged = False
-    while evals < max_evals:
-        order = np.argsort(fs, kind="stable")
-        sim, fs = sim[order], fs[order]
-        spread = fs[-1] - fs[0]
-        diam = float(np.max(np.abs(sim[1:] - sim[0])))
-        rel = 1.0 + float(np.max(np.abs(sim[0])))
-        if spread < TOL_VALUE and diam < TOL_SIMPLEX * rel:
-            converged = True
-            break
-        centroid = np.mean(sim[:-1], axis=0)
-        xr = centroid + (centroid - sim[-1])
-        fr = f(xr)
-        if fr < fs[0]:
-            xe = centroid + 2.0 * (centroid - sim[-1])
-            fe = f(xe)
-            if fe < fr:
-                sim[-1], fs[-1] = xe, fe
-            else:
-                sim[-1], fs[-1] = xr, fr
-        elif fr < fs[-2]:
-            sim[-1], fs[-1] = xr, fr
-        else:
-            if fr < fs[-1]:
-                xc = centroid + 0.5 * (xr - centroid)
-            else:
-                xc = centroid + 0.5 * (sim[-1] - centroid)
-            fc = f(xc)
-            if fc < min(fr, fs[-1]):
-                sim[-1], fs[-1] = xc, fc
-            else:
-                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-                fs[1:] = [f(v) for v in sim[1:]]
-    best = int(np.argmin(fs))  # the first minimum, as a stable sort would put first
-    return np.minimum(np.maximum(sim[best], lo), hi), fs[best], evals, converged
-
-
-def _projected_gradient(value_fn, grad_fn, x0, lo, hi, max_iter):
-    """Maximize via projected gradient ascent with an adaptive step.
-
-    Returns (x, value, status) where status is "ok" or "skipped" (non-finite
-    gradient before any progress).
-    """
-    x = x0.copy()
-    fx = value_fn(x)
-    step = 0.1
-    status = "ok"
-    progressed = False
-    for _ in range(max_iter):
         try:
-            g = grad_fn(x)
+            f, g = fg(x)
         except GradientUndefinedError:
-            g = None
-        if g is None or not np.all(np.isfinite(g)):
-            if not progressed:
-                status = "skipped"
-            break
-        if float(np.max(np.abs(g))) < 1e-11:
-            break
-        moved = False
-        while step >= 1e-14:
-            cand = np.minimum(np.maximum(x + step * g, lo), hi)
-            if np.array_equal(cand, x):
+            return None
+        return (f, g) if math.isfinite(f) else None
+
+    x = x0.copy()
+    first = evaluate(x)
+    if first is None:
+        return x, evals, 0, False, "skipped"
+    f, g = first
+    inv_h = np.eye(x.size)
+    fresh = True  # inv_h is the identity: scale it at the next update
+    t_last = 0.5  # so that the first trial step is 1
+    iters = 0
+    while True:
+        pg_norm = float(np.max(np.abs(np.minimum(np.maximum(x - g, lo), hi) - x), initial=0.0))
+        if pg_norm <= TOL_PGRAD:
+            return x, evals, iters, True, "ok"
+        if iters >= max_iter or evals >= max_evals:
+            return x, evals, iters, False, "ok"
+        eps = min(EPS_BIND, pg_norm)
+        free = ~(((x <= lo + eps) & (g > 0.0)) | ((x >= hi - eps) & (g < 0.0)))
+        g_free = np.where(free, g, 0.0)  # inv_h @ g_free is inv_h's free block times g's
+        d = np.where(free, -(inv_h @ g_free), -g)
+        if not g_free @ d < 0.0:
+            inv_h, fresh, d = np.eye(x.size), True, -g
+        t = min(1.0, 2.0 * t_last)
+        trial = None
+        for _ in range(MAX_HALVINGS + 1):
+            xt = np.minimum(np.maximum(x + t * d, lo), hi)
+            slope = float(g @ (xt - x))
+            if not slope < 0.0 or evals >= max_evals:
                 break
-            fc = value_fn(cand)
-            if fc > fx:
-                improvement = fc - fx
-                x, fx = cand, fc
-                step *= 1.5
-                moved = True
-                progressed = True
-                if improvement < 1e-14 * (1.0 + abs(fx)):
-                    return x, fx, status
+            trial = evaluate(xt)
+            if trial is not None and trial[0] <= f + ARMIJO * slope:
                 break
-            step *= 0.5
-        if not moved:
-            break
-    return x, fx, status
+            trial = None
+            t *= 0.5
+        if trial is None:  # the backtrack failed: retry once by steepest descent
+            if fresh or evals >= max_evals:
+                return x, evals, iters, False, "ok"
+            inv_h, fresh = np.eye(x.size), True
+            continue
+        ft, gt = trial
+        s, y = xt - x, gt - g
+        sy = float(s @ y)
+        yy = float(y @ y)
+        if sy > CURVATURE * math.sqrt(float(s @ s) * yy):
+            if fresh:
+                inv_h *= sy / yy
+                fresh = False
+            hy = inv_h @ y
+            u = s / sy
+            inv_h += np.outer(u, (1.0 + float(y @ hy) / sy) * s - hy) - np.outer(hy, u)
+        iters += 1
+        decrease = f - ft
+        x, f, g, t_last = xt, ft, gt, t
+        if decrease <= TOL_REL * max(1.0, abs(f)):
+            return x, evals, iters, True, "ok"
 
 
 def fit_mle(
@@ -363,10 +346,10 @@ def fit_mle(
     """Maximize the conditional log-likelihood over the box.
 
     Starts are the box center, a data-informed point, quasi-random fill-ins,
-    and any ``opts.extra_starts``; each runs simplex descent then (by
-    default) a projected-gradient polish.  The best final value wins, ties
-    broken by lowest start index.  Raises ``FitFailureError`` when every
-    start is non-finite, or every finite one fails ``require_stability``.
+    and any ``opts.extra_starts``; each runs one projected quasi-Newton
+    search.  The best final value wins, ties broken by lowest start index.
+    Raises ``FitFailureError`` when every start is non-finite, or every
+    finite one fails ``require_stability``.
     """
     opts = opts or FitOptions()
     box = box or default_box(spec)
@@ -390,11 +373,6 @@ def fit_mle(
         full = base.copy()
         full[active] = v_active
         return full
-
-    # Every point evaluated below is inside the box: the simplex and the polish
-    # project their active coordinates, and the pinned ones are the center's.
-    def objective_full(full: np.ndarray) -> float:  # the kernel's total is finite or -inf
-        return -_kernel(prep, full)[0] / prep.n
 
     # Start list: center, data-informed, quasi-random, then user extras.  The
     # quasi-random block is a Halton set under a seeded rotation (the start
@@ -420,30 +398,19 @@ def fit_mle(
         if kept:
             starts_full = kept
 
+    def value_grad(v: np.ndarray):
+        total, grad = _kernel(prep, expand(v), grad=True)
+        return -total / prep.n, -grad[active]
+
     traces = []
     values = []  # each start's sequential LikelihoodValue, aligned with traces
     for idx, start in enumerate(starts_full):
         start = box.clip(start)
-        final_full, evals, converged, polish_status = start, 1, True, "off"
-        if active.any():
-            lo_a, hi_a = lower[active], upper[active]
-            xb, fb, evals, converged = _nelder_mead(
-                lambda v: objective_full(expand(v)),
-                start[active],
-                lo_a,
-                hi_a,
-                opts.max_evals,
-            )
-            if opts.polish and math.isfinite(fb):
-                xb, _, polish_status = _projected_gradient(
-                    lambda v: -objective_full(expand(v)),
-                    lambda v: _kernel(prep, expand(v), grad=True)[1][active],
-                    xb,
-                    lo_a,
-                    hi_a,
-                    opts.polish_max_iter,
-                )
-            final_full = expand(xb)
+        xb, evals, _, converged, status = _projected_bfgs(
+            value_grad, start[active], lower[active], upper[active],
+            opts.polish_max_iter, opts.max_evals,
+        )
+        final_full = expand(xb)
         theta = unpack_params(spec, final_full)
         with warnings.catch_warnings():  # only the estimate's pass may warn, below
             warnings.simplefilter("ignore", ClampWarning)
@@ -462,7 +429,7 @@ def fit_mle(
                 value=value,
                 evals=evals,
                 converged=converged,
-                polish=polish_status,
+                polish=status,
                 excluded=excluded,
             )
         )

@@ -191,7 +191,8 @@ ERROR_TABLE = {
     "mc_negative_burn_in": (("mc-consistency", "--config", "mc_burn_in.json"),
                             "burn_in must be >= 0"),
     "mc_polish_string": (("mc-consistency", "--config", "mc_polish_string.json"),
-                         "config 'fit' 'polish' must be true or false, got \"false\""),
+                         "unknown 'fit' keys in config: ['polish']; allowed: ['starts', "
+                         "'guard_override', 'max_evals']"),
     "mc_guard_override_string": (("mc-consistency", "--config", "mc_guard_string.json"),
                                  "config 'fit' 'guard_override' must be true or false, got \"no\""),
     "mc_starts_fraction": (("mc-consistency", "--config", "mc_starts_fraction.json"),
@@ -217,7 +218,7 @@ ERROR_TABLE = {
     "mc_omega_bool": (("mc-consistency", "--config", "mc_omega_bool.json"),
                       "omega must be a number, got True"),
     "mc_xi_dim_bool": (("mc-consistency", "--config", "mc_xi_dim_bool.json"),
-                       "r_dim must be an integer, got True"),
+                       "config 'xi_dim' must be an integer, got true"),
 }
 
 
@@ -302,7 +303,7 @@ class TestFitAndLoglik:
         out = str(tmp_path / "fit.json")
         proc = run_cli(
             "fit", "--family", "loglin", "--data", data, "--out", out,
-            "--max-evals", "4", "--no-polish",
+            "--max-evals", "4",
         )
         assert proc.returncode == 3
         assert os.path.exists(out)
@@ -468,10 +469,10 @@ PINNED_CHECK_STDOUT = {
     "nbin_lhs": "15a7868821331e2db4d5201fca6844f55d5bbb02ca82abe8dd741584eb824778",
 }
 PINNED_FIT_JSON = {
-    "not_converged": "adc0c3cc8f3f36d745294e73096445b55e83b3f6e88e893d505da58832c4011a",
-    "pinned": "dcc5b2151cfc6576999caac48ecf4e748a8bb12c1d6dde951b7c76844dd323dd",
-    "require_stable": "511290694800c4ce1323e15fbf697c07df76d6d740f66acfaa932f14a5222e93",
-    "starts4": "3f778963ea852a7586423599ddfd53758785b360b5de51d0db47d26c97e80e7d",
+    "not_converged": "b56ec2869312d383f1326173ffb328430f217e6e93013740dfead646c8ab1a03",
+    "pinned": "1b8a3fcb06564286986e514d5f2a82da0cc2f5cfe9ac9ac1c44e10a95ae134e7",
+    "require_stable": "d5dec570ef990b1b999d221b0eca8d6a849f13a7bd0484dcec5f29c6840f383c",
+    "starts4": "f282fb8090b1f7ca9cca3c70a7adad39accc0377c36f97ed783bc656952e07c5",
 }
 # forecast stdout at the FORECAST_CASES theta on a series simulated by SIM_ARGS
 PINNED_FORECAST_STDOUT = {
@@ -480,8 +481,8 @@ PINNED_FORECAST_STDOUT = {
     "parx": "40389dda2b78c4d936f37705b48511586400a09ba9ce72b184258daab8ef4465",
 }
 PINNED_MC = {
-    "consistency.json": "f9187dc6101b17971130d764d508305d4d48515140cfb57faf23d038df80e194",
-    "consistency.tsv": "cb94f9d0119de41b3f2a837f31b41d24050e07844e6510589fbb218fb8ade561",
+    "consistency.json": "9c8ed54f5f440aa02eca65c693142f3d365bc8241fd36e8b1a4a672d09325c67",
+    "consistency.tsv": "1b5a79fe1943aafcd6fadb044ae3d8234dc9503c7790a3cb37110ebd356f3651",
 }
 CHECK_ARGS = {
     "loglin_certificate": ("--family", "loglin", "--omega", "0", "--a", "0.6", "-0.3",
@@ -493,7 +494,7 @@ FIT_ARGS = {
     "pinned": ("--family", "loglin", "--starts", "4", "--pin", "a1=0.4"),
     "require_stable": ("--family", "loglin", "--p", "2", "--q", "2", "--starts", "6",
                        "--require-stable"),
-    "not_converged": ("--family", "loglin", "--max-evals", "4", "--no-polish"),
+    "not_converged": ("--family", "loglin", "--max-evals", "4"),
 }
 
 SIM_ARGS = {

@@ -8,21 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odmlab import rng as rngmod
 from odmlab.conditions import (
     CertificateBudgetError,
-    _window_distance,
     check_identifiable,
     check_loglin,
     check_nbin,
     check_parx,
     companion_spectral_radius,
     in_unit_disk_stable,
-    lipschitz_estimate,
     loglin_iterate,
     nbin_stationary_mean,
 )
-from odmlab.model import LatentWindow, reduce
 import oracles
 from test_model import loglin_spec, nbin_spec, parx_spec
 
@@ -309,82 +305,6 @@ class TestIdentifiability:
             assert (
                 check_identifiable(a, scaled).verdict == check_identifiable(a, b).verdict
             )
-
-
-class TestLipschitz:
-    def test_order_one_closed_form(self):
-        spec = loglin_spec()
-        th = spec.params(0.1, [0.5], [0.3])
-        est = lipschitz_estimate(spec, th, 12, 5, rngmod.substream(4, 0))
-        expected = 0.5 ** np.arange(1, 13)
-        assert np.allclose(est, expected, rtol=1e-12)
-
-    def test_memoryless_after_window(self):
-        spec = loglin_spec(2, 3)
-        th = spec.params(0.1, [0.0, 0.0], [0.2, 0.1, -0.1])
-        est = lipschitz_estimate(spec, th, 8, 5, rngmod.substream(5, 0))
-        assert np.all(est[max(spec.p, spec.q) - 1 :] == 0.0)
-
-    def test_stable_point_decays(self):
-        spec = loglin_spec(2, 1)
-        th = spec.params(0.1, [0.4, 0.2], [0.2])
-        assert check_loglin(spec, th).verdict == "Pass"
-        est = lipschitz_estimate(spec, th, 30, 8, rngmod.substream(6, 0))
-        ks = np.arange(1, 31)[est > 0]
-        slope = np.polyfit(ks, np.log(est[est > 0]), 1)[0]
-        assert slope < 0
-
-    @pytest.mark.parametrize("field, value", [("n_max", 2.5), ("n_max", True),
-                                              ("trial_count", 3.0), ("trial_count", "3")])
-    def test_counts_must_be_integers(self, field, value):
-        spec = loglin_spec()
-        th = spec.params(0.1, [0.5], [0.3])
-        counts = {"n_max": np.int64(4), "trial_count": np.int64(2)}
-        lipschitz_estimate(spec, th, **counts, rng=rngmod.substream(4, 0))
-        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
-            lipschitz_estimate(spec, th, **{**counts, field: value}, rng=rngmod.substream(4, 0))
-
-    def test_window_distance_takes_every_gap(self):
-        # two windows that differ in one component are that component's gap apart
-        spec = loglin_spec(2, 2)
-        z = LatentWindow(x=(0.5, 1.0), u=(2.0,))
-        assert _window_distance(spec, z, LatentWindow(x=(0.5, 4.0), u=(2.0,))) == 3.0
-        assert _window_distance(spec, z, LatentWindow(x=(0.5, 1.0), u=(-3.0,))) == 5.0
-        spec = parx_spec(q=2, r_dim=2, kinds=("square",))
-
-        def window(x=1.0, xi=(0.0, 0.0), y=2, xi_u=(3.0, 0.0)):
-            return LatentWindow(x=((x, xi),), u=(reduce(spec, (y, xi_u)),))
-
-        z = window()
-        cases = [
-            (dict(x=6.0), 5.0),  # intensity
-            (dict(xi=(0.0, 4.5)), 4.5),  # the latent's covariate rows
-            (dict(y=9), 7.0),  # count
-            (dict(xi_u=(3.5, 0.0)), 3.25),  # squared feature; the rows are 0.5 apart
-            (dict(xi_u=(3.0, 2.0)), 2.0),  # the reduction's covariate rows
-        ]
-        for change, gap in cases:
-            assert _window_distance(spec, z, window(**change)) == gap
-
-    def test_pinned_estimates(self):
-        # stable and unstable draws of all three families, plus an explosive
-        # point whose ratios overflow to inf
-        rng = np.random.default_rng(2106)
-        digest = hashlib.sha256()
-        families = set()
-        for i in range(45):
-            spec, th = oracles.random_instance(rng, stable=i % 2 == 0)
-            families.add(spec.family)
-            digest.update(repr(lipschitz_estimate(spec, th, 12, 4, rng).tolist()).encode())
-        assert families == {"loglin", "nbin", "parx"}
-        spec = loglin_spec()
-        th = spec.params(0.1, [2.5], [0.5])
-        est = lipschitz_estimate(spec, th, 800, 3, rngmod.substream(9, 0))
-        assert np.isinf(est).any()
-        digest.update(repr(est.tolist()).encode())
-        assert digest.hexdigest() == (
-            "c8e6cbda671053817d43d0ddbc72e400f89d1799947964deda3a9f288606c804"
-        )
 
 
 class TestNbinStationaryMean:

@@ -10,13 +10,14 @@ from odmlab.fit import (
     FitFailureError,
     FitOptions,
     ThetaBox,
+    _projected_bfgs,
     _quasi_random_points,
     default_box,
     fit_mle,
     forecast_one_step,
     make_box,
 )
-from odmlab.likelihood import loglik
+from odmlab.likelihood import GradientUndefinedError, loglik
 from odmlab.model import (
     LatentWindow,
     ObservationSeries,
@@ -78,13 +79,89 @@ class TestFitOptions:
             FitOptions(**{field: value})
 
 
-    @pytest.mark.parametrize("field, value", [("polish", "no"), ("polish", 1),
+    @pytest.mark.parametrize("field, value", [("guard_override", "no"),
+                                              ("require_stability", 1),
                                               ("require_stability", "False"),
                                               ("guard_override", np.True_)])
     def test_flags_must_be_booleans(self, field, value):
         FitOptions(**{field: True})
         with pytest.raises(ValueError, match=f"^{field} must be True or False, got {value!r}$"):
             FitOptions(**{field: value})
+
+
+def _quadratic(a, c):
+    return lambda x: (0.5 * (x - c) @ a @ (x - c), a @ (x - c))
+
+
+class TestProjectedBfgs:
+    LO = np.array([-1.0, -1.0, -1.0])
+    HI = np.array([1.0, 1.0, 1.0])
+    A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -0.5], [0.5, -0.5, 2.0]])
+
+    def test_box_constrained_quadratic(self):
+        # the minimizer sits on the lower face, the upper face and inside; the
+        # gradient there presses against both faces and vanishes inside
+        x_star = np.array([-1.0, 1.0, 0.25])
+        c = x_star - np.linalg.solve(self.A, np.array([2.0, -3.0, 0.0]))
+        x, evals, iters, converged, status = _projected_bfgs(
+            _quadratic(self.A, c), np.zeros(3), self.LO, self.HI, 200, 4000)
+        assert converged and status == "ok"
+        assert np.max(np.abs(x - x_star)) < 1e-8
+
+    @pytest.mark.parametrize("barrier", ["inf", "raise"])
+    def test_never_steps_where_the_objective_is_undefined(self, barrier):
+        # the objective is undefined on x0 + x1 > 1, inside the box; the first
+        # full step lands there, and the minimizer lies outside it
+        inner = _quadratic(self.A, np.array([0.3, 0.2, -0.4]))
+        seen = []
+
+        def fg(x):
+            seen.append(x.copy())
+            if x[0] + x[1] > 1.0:
+                if barrier == "raise":
+                    raise GradientUndefinedError("undefined")
+                return math.inf, np.zeros(3)
+            return inner(x)
+
+        x, evals, iters, converged, status = _projected_bfgs(
+            fg, np.array([-1.0, -1.0, 1.0]), self.LO, self.HI, 200, 4000)
+        assert any(v[0] + v[1] > 1.0 for v in seen)  # the barrier was met
+        assert converged and status == "ok" and x[0] + x[1] <= 1.0
+        assert np.max(np.abs(x - [0.3, 0.2, -0.4])) < 1e-8
+        assert len(seen) == evals
+
+    def test_caps_bound_evaluations_and_iterations(self):
+        def rosenbrock(x):
+            f = (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+            g = [-2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2), 200.0 * (x[1] - x[0] ** 2)]
+            return f, np.array(g)
+
+        lo, hi, x0 = np.array([-2.0, -2.0]), np.array([2.0, 2.0]), np.array([-1.2, 1.0])
+        for max_iter, max_evals in ((5, 4000), (200, 7), (200, 4000)):
+            _, evals, iters, converged, _ = _projected_bfgs(rosenbrock, x0, lo, hi,
+                                                            max_iter, max_evals)
+            assert evals <= max_evals and iters <= max_iter
+            assert converged == (max_iter == 200 and max_evals == 4000)
+        runs = [_projected_bfgs(rosenbrock, x0, lo, hi, 200, 4000) for _ in range(2)]
+        assert repr(runs[0]) == repr(runs[1])
+
+    def test_undefined_gradient_at_the_start_skips(self):
+        spec = loglin_spec(2, 2)
+        th = spec.params(0.1, [0.3, 0.2], [0.2, 0.1])
+        sim = simulate_series(spec, th, SimConfig(n=300, burn_in=100, seed=4))
+        corner = unpack_params(spec, default_box(spec).upper)  # the latent clamps there
+        res = fit_mle(spec, sim.series, opts=FitOptions(starts=2, extra_starts=(corner,)))
+        skipped = res.trace[-1]
+        assert skipped.polish == "skipped" and not skipped.converged and skipped.evals == 1
+        assert skipped.final == skipped.initial
+        assert all(t.polish == "ok" for t in res.trace[:-1])
+
+    def test_fit_respects_max_evals(self):
+        spec = nbin_spec()
+        th = spec.params(1.0, [0.3], [0.2], r=2.0)
+        sim = simulate_series(spec, th, SimConfig(n=300, burn_in=100, seed=3))
+        res = fit_mle(spec, sim.series, opts=FitOptions(starts=4, max_evals=9))
+        assert all(t.evals <= 9 and not t.converged for t in res.trace)
 
 
 class TestFitFailure:
@@ -139,6 +216,7 @@ class TestFitMle:
         r2 = fit_mle(spec, sim.series, opts=FitOptions(starts=4))
         assert pack_params(spec, r1.theta_hat).tobytes() == pack_params(spec, r2.theta_hat).tobytes()
         assert r1.loglik.normalized == r2.loglik.normalized
+        assert repr(r1.trace) == repr(r2.trace)
 
     def test_trace_never_below_its_start(self):
         spec = loglin_spec()
@@ -278,7 +356,7 @@ def _pinned_fit_cases():
             l22, t22, None, FitOptions(starts=6, require_stability=True)
         ),
         "loglin11_extra_start": (l11, t11, None, FitOptions(starts=3, extra_starts=(t11,))),
-        "loglin11_not_converged": (l11, t11, None, FitOptions(starts=2, max_evals=4, polish=False)),
+        "loglin11_not_converged": (l11, t11, None, FitOptions(starts=2, max_evals=4)),
     }
 
 
@@ -296,14 +374,14 @@ def _fit_digest(spec, theta, box, opts):
 # sha256 of repr((theta_hat, loglik total, per-start trace fields)); any
 # change to the search's arithmetic or bookkeeping moves these
 PINNED_FIT_DIGESTS = {
-    "loglin11": "bf89d42da5875a69f6d3e510f5a55daaef6b1a6e560911bdf8661f8ff0258dbe",
-    "loglin11_extra_start": "cb4b8c57a7aa278cc799a3092d2a8558d569d50397357338f4b56cb3d1bbdc39",
-    "loglin11_not_converged": "0ab2d1ea142883f92c648243fef02e4cd19f8c4b86ff7f1954eafed4c3e4d193",
-    "loglin11_pinned": "9e81e24a290730c088ec19dd18f398f26a771e87d85d0295b1ae68c65b6d7ea1",
-    "loglin22": "f3ff05b63382606d52224ec125322c1326e5df49c702ae140e16cec761aba118",
-    "loglin22_require_stability": "e2256c3b4918f7c1c43ca5e2c04251390ae9f4f5947c5a55fd11a59b191e7465",
-    "nbin11": "9981deb7b3588cb780e9599199caed8460608474973749a8633c605f6334c995",
-    "parx11": "d1ea4febc31eb041d5ad64418dd26f382a64e55872b4efb442b3f6c2ab69e0b6",
+    "loglin11": "b08530af6bed70b68fc22e0c20d0e5cd3269630d0a946b8b71a1fb6299c841de",
+    "loglin11_extra_start": "bc5a379449f8c77f6648b8e73af077a09277d399dea22f54fef54f2aec6bbfc9",
+    "loglin11_not_converged": "2383da8da0576c92191651b95b7bd1914cf941c75dfa34b612865a63ca130168",
+    "loglin11_pinned": "4096cc30988a1bf0b44f21410d3029c753f69f7d3002edd143f60c1a95549eff",
+    "loglin22": "5684d72cb13a46019fd62a1bad7a994f3a50daec382e9a833565927b9f86ea2a",
+    "loglin22_require_stability": "cbeed4322ce7e7f060310c215877022ea2a0bca855fc3af9de9eaa97f2779d8c",
+    "nbin11": "de97f9b1f698b8cb90a14586cf5b38dc5dc93756cddc0a2a2b3a9446147ef19e",
+    "parx11": "9fbbb5c2a8b7eaf6b27d4ec52370944ac2330496772e900bac3b4689c671cf91",
 }
 
 

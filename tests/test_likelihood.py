@@ -397,10 +397,11 @@ class TestScipyLoad:
             "print('scipy' in sys.modules)\n"
             "odmlab.fit_mle(spec, sim.series, opts=odmlab.FitOptions(starts=1))\n"
             "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)\n"
+            "print('scipy.optimize' in sys.modules)\n"  # the fit's search is odmlab's own
         )
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              check=True).stdout
-        assert out.split() == ["False", "False", "True", "True"]
+        assert out.split() == ["False", "False", "True", "True", "False"]
 
 
 class TestFiniteDifferences:
