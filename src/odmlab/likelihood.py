@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -93,28 +94,49 @@ class _Prepared:
 
     numpy builds it with no loop over the observations.  The kernel reads the
     arrays; the sequential pass and the forecast iterate them in place
-    through memoryviews, which yield the doubles without a list copy.
+    through memoryviews, which yield the doubles without a list copy.  What
+    only the kernel reads is built on its first use.
     """
 
     n: int
-    p: int
     family: str
     y: np.ndarray  # y_1..y_n
     u: np.ndarray  # reduced observations u_0..u_n; PARX: the counts
     feats: Optional[np.ndarray]  # PARX: (d, n + 1), column k is the feature row f_k
     lnf: np.ndarray  # ln(y_k!) for k = 1..n
-    lnf_sum: float
-    counts: Optional[tuple[np.ndarray, np.ndarray]]  # NBIN: distinct y_k, multiplicities
-    xw0: list[float]
-    uw0: list[float]
+    distinct: np.ndarray  # the distinct counts; y_k is distinct[index[k]]
+    index: np.ndarray
+    xw0: tuple[float, ...]
+    uw0: tuple[float, ...]
     covariates: Optional[np.ndarray]  # PARX: xi_0..xi_n
+
+    @cached_property
+    def lnf_sum(self) -> float:
+        return math.fsum(self.lnf.tolist())
+
+    @cached_property
+    def counts(self) -> tuple[np.ndarray, np.ndarray]:  # NBIN: distinct y_1..y_n, multiplicities
+        mult = np.bincount(self.index[1:], minlength=self.distinct.size)
+        return self.distinct[mult > 0], mult[mult > 0].astype(float)
+
     # (n, dim): row k - 1 is d_k's coefficient on each packed parameter:
     # 1 | x_{k-i} from the initial window, else 0 | u_{k-j} | 0 (NBIN r) | f_{k-1}
-    matrix: np.ndarray
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        n, p, q = self.n, len(self.xw0), len(self.uw0) + 1
+        xext = np.concatenate((self.xw0, np.zeros(n)))  # x_{1-p}..x_0, 0, ...
+        uext = np.concatenate((self.uw0, self.u[:n]))  # u_{1-q}..u_{n-1}
+        columns = [np.ones(n)] + [xext[p - i : p - i + n] for i in range(1, p + 1)]
+        columns += [uext[q - j : q - j + n] for j in range(1, q + 1)]
+        if self.family == NBIN:
+            columns.append(np.zeros(n))
+        if self.feats is not None:
+            columns.extend(self.feats[:, :n])
+        return np.column_stack(columns)
 
     def latent_path(self, theta: ParameterVector, m: int) -> list:
         """x_1..x_m by the sequential recursion, for m <= n + 1."""
-        f = None if self.feats is None else zip(*map(memoryview, self.feats[:, :m]))
+        f = () if self.feats is None else map(memoryview, self.feats[:, :m])
         return _latent_path(theta, self.xw0, self.uw0, memoryview(self.u[:m]), f)
 
 
@@ -123,7 +145,7 @@ def _prepare(
 ) -> _Prepared:
     validate_window(spec, z_init)
     check_series(spec, series)
-    n, p, q, fam = series.n, spec.p, spec.q, spec.family
+    n, fam = series.n, spec.family
     if n < min_n:  # the forecast alone takes n = 0
         raise ValueError("need at least two observations (n >= 1 likelihood terms)")
     # ln y! and the loglin u once per distinct count; u by math.log1p, which
@@ -131,24 +153,10 @@ def _prepare(
     vals, inv = np.unique(series.y, return_inverse=True)
     u = np.array([math.log1p(v) for v in vals.tolist()])[inv] if fam == LOGLIN else vals[inv]
     lnf = np.array([lnfact(int(v)) for v in vals.tolist()])[inv[1:]]
-    counts = None
-    if fam == NBIN:  # over y_1..y_n: a y_0 that does not recur gets no entry
-        mult = np.bincount(inv[1:], minlength=vals.size)
-        counts = (vals[mult > 0], mult[mult > 0].astype(float))
     xw0, uw0 = _scalar_window(spec, z_init)
     cov = series.covariates
     feats = spec.parx.features(cov) if fam == PARX else None
-    xext = np.concatenate((np.asarray(xw0, dtype=float), np.zeros(n)))  # x_{1-p}..x_0, 0, ...
-    uext = np.concatenate((np.asarray(uw0, dtype=float), u[:n]))  # u_{1-q}..u_{n-1}
-    columns = [np.ones(n)] + [xext[p - i : p - i + n] for i in range(1, p + 1)]
-    columns += [uext[q - j : q - j + n] for j in range(1, q + 1)]
-    if fam == NBIN:
-        columns.append(np.zeros(n))
-    if feats is not None:
-        columns.extend(feats[:, :n])
-    matrix = np.column_stack(columns)
-    y, lnf_sum = vals[inv[1:]], math.fsum(lnf.tolist())
-    return _Prepared(n, p, fam, y, u, feats, lnf, lnf_sum, counts, xw0, uw0, cov, matrix)
+    return _Prepared(n, fam, vals[inv[1:]], u, feats, lnf, vals, inv, xw0, uw0, cov)
 
 
 def _loglik_prepared(
@@ -160,10 +168,8 @@ def _loglik_prepared(
 ) -> LikelihoodValue:
     n = prep.n
     xs = prep.latent_path(theta, n)
-    distinct = prep.counts and memoryview(prep.counts[0])  # NBIN only
-    terms, clamped, first_clamped = _log_terms(
-        spec.family, theta.r, xs, memoryview(prep.y), memoryview(prep.lnf), distinct
-    )
+    terms, clamped, first_clamped = _log_terms(spec.family, theta.r, xs, memoryview(prep.y),
+                                               memoryview(prep.lnf), memoryview(prep.distinct))
     values = np.array(terms)
     if include_covariate_density:
         values += covariate_log_density(spec, prep.covariates[:-1], prep.covariates[1:])
@@ -223,7 +229,7 @@ def _kernel(prep: _Prepared, vec: np.ndarray, grad: bool = False):
     """
     if dtbtrs is None:
         _load_scipy()
-    n, p, fam, y = prep.n, prep.p, prep.family, prep.y
+    n, p, fam, y = prep.n, len(prep.xw0), prep.family, prep.y
     ab = np.empty((n, p + 1)).T  # Fortran-ordered band: row i holds -a_i
     ab[1:] = -vec[1 : 1 + p, None]
     x = dtbtrs(ab, prep.matrix @ vec, uplo="L", diag="U")[0]

@@ -30,10 +30,10 @@ All state objects are immutable; every function here is pure.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -359,11 +359,10 @@ def check_series(spec: ModelSpec, series: ObservationSeries) -> None:
 
 # --- reductions and link steps ------------------------------------------------
 #
-# Every code path that advances the latent recursion -- the one-step link,
-# the sliding-window step, the running iteration, the likelihood pass, the
-# forecast and the simulator -- funnels through _affine (or the p = q = 1 line
-# of _latent_path, which adds in the same order), so they all produce bitwise
-# identical values.
+# The one-step link, the sliding-window step, the running iteration, the
+# likelihood pass, the forecast and the simulator all run the one affine step
+# that _compiled writes into their loops, so their values agree bit for bit.
+# Compiled once per shape, the step reads locals and runs no inner loop.
 
 
 def check_count(y) -> None:
@@ -404,71 +403,73 @@ def _reduce_all(spec: ModelSpec, ys) -> list:
     return [(c, tuple(f), xi) for c, f, xi in zip(counts, feats, rows)]
 
 
-def _affine(omega: float, a, b, xw, uw, gamma=(), f=()) -> float:
-    # xw has >= len(a) entries newest-last; uw has >= len(b) entries
-    # newest-last (PARX: the counts).  Only the newest feature row f enters
-    # (block-matrix structure of the PARX link).
-    acc = omega
-    i = -1
-    for ai in a:
-        acc += ai * xw[i]
-        i -= 1
-    i = -1
-    for bj in b:
-        acc += bj * uw[i]
-        i -= 1
-    i = 0
-    for gm in gamma:
-        acc += gm * f[i]
-        i += 1
-    return acc
+_SUM_CHUNK = 256  # terms per statement: a sum of ~3,000 overflows the compiler's recursion
+
+_PATH_LOOP = """\
+def loop(omega, a, b, gamma, xw, uw, u):
+{head}
+    path = []
+    append = path.append
+    for u1{f} in u:
+{step}
+        append(x)
+    return path
+"""
 
 
-def _latent_path(theta: ParameterVector, xw0, uw0, u, f=None) -> list:
+def _names(stem: str, count: int) -> list[str]:
+    return [f"{stem}{i}" for i in range(1, count + 1)]
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled(p: int, q: int, d: int, loop: str):
+    """The function ``loop`` that the source ``loop`` defines, for lags (p, q) and d features.
+
+    ``{head}`` unpacks a1..ap, b1..bq, g1..gd and the oldest-first windows into locals x
+    (newest latent), x2..xp, u2..uq; ``{f}`` is ", f1, ..., fd"; ``{step}`` sets x to omega
+    + a1 * x + ... + ap * xp + b1 * u1 + ... + gd * fd, left to right, and slides the window.
+    """
+    xs, us, fs = ["x", *_names("x", p)[1:]], _names("u", q), _names("f", d)
+    unpack = [("a", _names("a", p)), ("b", _names("b", q)), ("gamma", _names("g", d)),
+              ("xw", xs[::-1]), ("uw", us[:0:-1])]
+    terms = [f"{c}{i} * {v}" for c, vs in zip("abg", (xs, us, fs)) for i, v in enumerate(vs, 1)]
+    chunks = [terms[lo : lo + _SUM_CHUNK] for lo in range(0, len(terms), _SUM_CHUNK)]
+    accs = ["omega", *["s"] * (len(chunks) - 1)]  # what each chunk adds to
+    step = [f"s = {' + '.join([acc, *c])}" for acc, c in zip(accs, chunks[:-1])]
+    step.append(f"{', '.join(xs)} = {', '.join([' + '.join([accs[-1], *chunks[-1]]), *xs[:-1]])}")
+    if q > 1:
+        step.append(f"{', '.join(us[1:])} = {', '.join(us[:-1])}")
+    source = loop.format(
+        head="\n".join(f"    {', '.join(names)}, = {arg}" for arg, names in unpack if names),
+        step="\n".join(f"        {line}" for line in step), f="".join(f", {v}" for v in fs))
+    namespace = {"math": math}
+    exec(compile(source, f"<odmlab loop p={p} q={q} d={d}>", "exec"), namespace)
+    return namespace["loop"]
+
+
+def _latent_path(theta: ParameterVector, xw0, uw0, u, f=()) -> list:
     """x_1..x_m from the window (xw0, uw0) and the reduced data u_0..u_{m-1}.
 
-    ``u[k]`` is u_k (PARX: the count y_k) and ``f[k]`` the PARX feature row
-    f_k; x_k reads u_{k-1} and f_{k-1}.
+    ``u[k]`` is u_k (PARX: the count y_k) and ``f[j][k]`` feature j of the
+    PARX feature row f_k; x_k reads u_{k-1} and f_{k-1}.
     """
-    omega, a, b, gamma = theta.omega, theta.a, theta.b, theta.gamma or ()
-    if len(a) == len(b) == 1 and not gamma:
-        # _affine's additions in _affine's order, inlined: at p = q = 1 a call
-        # per term about doubles the cost of the pass
-        a1, b1 = a[0], b[0]
-        x = xw0[-1]
-        path = []
-        append = path.append
-        for uk in u:
-            x = omega + a1 * x + b1 * uk
-            append(x)
-        return path
-    xw = list(xw0)
-    uw = list(uw0)
-    step, observe = xw.append, uw.append
-    for uk, fk in zip(u, repeat(()) if f is None else f):
-        observe(uk)
-        step(_affine(omega, a, b, xw, uw, gamma, fk))
-    return xw[len(xw0):]
+    gamma = theta.gamma or ()
+    run = _compiled(len(theta.a), len(theta.b), len(gamma), _PATH_LOOP)
+    return run(theta.omega, theta.a, theta.b, gamma, xw0, uw0, zip(u, *f) if gamma else u)
 
 
-def _scalar_window(spec: ModelSpec, z: LatentWindow) -> tuple[list, list]:
-    """Fresh lists of the window's latents and reductions, as the recursion reads them.
-
-    PARX entries are unpacked to their first component: intensity and count.
-    """
+def _scalar_window(spec: ModelSpec, z: LatentWindow) -> tuple[tuple, tuple]:
+    """Latents and reductions of ``z`` as the recursion reads them (PARX: intensities, counts)."""
     if spec.family == PARX:
-        return [e[0] for e in z.x], [e[0] for e in z.u]
-    return list(z.x), list(z.u)
+        return tuple(e[0] for e in z.x), tuple(e[0] for e in z.u)
+    return z.x, z.u
 
 
 def _window_path(spec: ModelSpec, theta: ParameterVector, z: LatentWindow, u) -> list:
-    """x_1..x_m from window ``z`` over the reduced observations ``u``.
-
-    PARX reductions are unpacked to counts and feature rows.
-    """
+    """x_1..x_m from window ``z`` over the reduced observations ``u`` (PARX: unpacked)."""
     xw0, uw0 = _scalar_window(spec, z)
     if spec.family == PARX:
-        return _latent_path(theta, xw0, uw0, [v[0] for v in u], [v[1] for v in u])
+        return _latent_path(theta, xw0, uw0, [v[0] for v in u], tuple(zip(*(v[1] for v in u))))
     return _latent_path(theta, xw0, uw0, u)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -34,7 +33,7 @@ from .model import (
     ObservationSeries,
     ParameterVector,
     ParxConfig,
-    _affine,
+    _compiled,
     _integer,
     _same,
     _scalar_window,
@@ -49,6 +48,23 @@ _LOGLIN_HI = math.log(4.0e18)
 while math.exp(_LOGLIN_HI) > 4.0e18:
     _LOGLIN_HI = math.nextafter(_LOGLIN_HI, -math.inf)
 SAFE_RANGE = {LOGLIN: (-1e3, _LOGLIN_HI), NBIN: (0.0, 1e12), PARX: (0.0, 1e12)}
+
+
+# the simulator's loop for _compiled: the affine step, with step t's draw before it
+_LOOP = """\
+def loop(omega, a, b, gamma, xw, uw, ks, draw, loglin, lo, hi, keep_y, keep_x):
+{head}
+    log1p = math.log1p
+    for k{f} in ks:  # k = t - burn_in at step t
+        if not lo <= x <= hi:
+            return k, x
+        y = draw(x)
+        if k >= 0:
+            keep_y[k] = y
+            keep_x[k] = x
+        u1 = log1p(y) if loglin else y
+{step}
+"""
 
 
 class LatentExplosionError(RuntimeError):
@@ -127,16 +143,9 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
     burn_in, n = cfg.burn_in, cfg.n
     steps = burn_in + n + 1
     draw = bind_sampler(spec, theta, rngmod.substream(cfg.seed, rngmod.OBSERVATION))
-    omega, a, b, gamma = theta.omega, theta.a, theta.b, theta.gamma or ()
-    loglin = spec.family == LOGLIN
     lo, hi = SAFE_RANGE[spec.family]
-    log1p = math.log1p
     ys, xs = np.empty(n + 1), np.empty(n + 1)
-    # item assignment through a memoryview: the cheapest store of one number
-    keep_y, keep_x = memoryview(ys), memoryview(xs)
-    xw, uw = _scalar_window(spec, z0)
-    covariates = None
-    feats = repeat(())
+    covariates, ks, gamma = None, range(-burn_in, n + 1), theta.gamma or ()
     if spec.family == PARX:
         px = spec.parx
         noise = rngmod.substream(cfg.seed, rngmod.COVARIATE).standard_normal((steps, px.r_dim))
@@ -145,35 +154,19 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
         del noise
         covariates = path[burn_in:]
         covariates.flags.writeable = False
-        feats = zip(*map(memoryview, px.features(path)))
-    # p = q = 1 without gamma steps x in a local: _affine's additions in
-    # _affine's order, inlined, as in _latent_path
-    fast = len(a) == len(b) == 1 and not gamma
-    a1, b1 = a[0], b[0]
-    x = xw[-1]
-    step, observe = xw.append, uw.append
-    for k in range(-burn_in, n + 1):  # k = t - burn_in at step t
-        if not lo <= x <= hi:
-            raise LatentExplosionError(
-                f"latent {x:.6g} left the safe range (limit {lo if x < lo else hi:.6g}) "
-                f"at step {k + burn_in}; run the stability check on these parameters"
-            )
-        y = draw(x)
-        if k >= 0:
-            keep_y[k] = y
-            keep_x[k] = x
-        u = log1p(y) if loglin else y
-        if fast:
-            x = omega + a1 * x + b1 * u
-        else:
-            observe(u)
-            x = _affine(omega, a, b, xw, uw, gamma, next(feats))
-            step(x)
-            del xw[0]
-            del uw[0]
+        ks = zip(ks, *map(memoryview, px.features(path)))
+    run = _compiled(len(theta.a), len(theta.b), len(gamma), _LOOP)
+    # item assignment through a memoryview: the cheapest store of one number
+    stop = run(theta.omega, theta.a, theta.b, gamma, *_scalar_window(spec, z0), ks, draw,
+               spec.family == LOGLIN, lo, hi, memoryview(ys), memoryview(xs))
+    if stop is not None:
+        k, x = stop
+        raise LatentExplosionError(
+            f"latent {x:.6g} left the safe range (limit {lo if x < lo else hi:.6g}) "
+            f"at step {k + burn_in}; run the stability check on these parameters"
+        )
     ys.flags.writeable = xs.flags.writeable = False
-    series = ObservationSeries(y=ys, covariates=covariates)
-    return SimResult(series=series, latents=xs, seed=cfg.seed)
+    return SimResult(ObservationSeries(y=ys, covariates=covariates), xs, cfg.seed)
 
 
 @dataclass(frozen=True)

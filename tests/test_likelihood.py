@@ -308,6 +308,18 @@ class TestPrepared:
                 assert mult.tolist() == [y[1:].count(v) for v in distinct]
 
 
+    @pytest.mark.filterwarnings("ignore::odmlab.families.ClampWarning")
+    def test_kernel_fields_are_built_on_first_use(self):
+        for spec, th, z, series, obs, path in oracle_instances():
+            prep = _prepare(spec, z, series)
+            prep.latent_path(th, series.n + 1)  # the forecast's read
+            _loglik_prepared(spec, th, prep, True, False)
+            assert not {"matrix", "lnf_sum", "counts"} & vars(prep).keys()
+            _kernel(prep, pack_params(spec, th))
+            want = {"matrix", "lnf_sum"} | ({"counts"} if spec.family == NBIN else set())
+            assert {"matrix", "lnf_sum", "counts"} & vars(prep).keys() == want
+
+
 class TestKernel:
     """The vectorized kernel against the sequential pass and central differences."""
 

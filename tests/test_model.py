@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odmlab.families import predictive
-from odmlab.fit import forecast_one_step
+from odmlab.fit import FitOptions, fit_mle, forecast_one_step
 from odmlab.likelihood import loglik
 from odmlab.model import (
     LOGLIN,
@@ -20,6 +22,8 @@ from odmlab.model import (
     ObservationSeries,
     ParameterVector,
     ParxConfig,
+    _PATH_LOOP,
+    _compiled,
     _count_mean,
     constant_window,
     default_initial_window,
@@ -33,6 +37,7 @@ from odmlab.model import (
     unpack_params,
     validate_params,
 )
+from odmlab.simulate import SimConfig, simulate_series
 
 import oracles
 
@@ -221,6 +226,54 @@ class TestSharedRecursion:
             dist = forecast_one_step(spec, th, z, series)
             assert dist == predictive(spec, th, iterate_latent(spec, th, z, obs))
             assert math.isfinite(dist.mean) and dist.mean > 0.0
+
+
+class TestCompiledLoop:
+    """The recursion is compiled once per (p, q, d) shape and cached per process."""
+
+    def test_large_orders_compile_and_match_oracle(self):
+        # one chained sum of 3,001 terms would overflow the compiler's recursion
+        spec = loglin_spec(1500, 1500)
+        th = spec.params(0.1, [1e-4] * 1500, [1e-4] * 1500)
+        rng = np.random.default_rng(1500)
+        series = oracles.random_series(spec, rng, 30)
+        z = oracles.random_window(spec, rng)
+        path = oracles.unrolled_latent_path(spec, th, z, series, 30)
+        assert iterate_latent(spec, th, z, series.y[:30].tolist()) == path[-1]
+        assert loglik(spec, th, z, series).latent_path[1:] == tuple(path)
+        sim = simulate_series(spec, th, SimConfig(n=30, burn_in=0, seed=3, z_init=z))
+        assert sim.latents[1:].tolist() == oracles.unrolled_latent_path(spec, th, z, sim.series, 30)
+
+    def test_two_points_of_one_shape_share_one_function(self):
+        spec = loglin_spec(2, 2)
+        z = constant_window(spec, 0.0, 0)
+        _compiled.cache_clear()
+        for th in (spec.params(0.1, [0.3, 0.2], [0.2, 0.1]),
+                   spec.params(-0.4, [0.1, -0.2], [0.5, 0.05])):
+            iterate_latent(spec, th, z, [1, 2, 3])
+        info = _compiled.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_a_fit_compiles_its_shape_only(self):
+        spec = loglin_spec(2, 2)
+        th = spec.params(0.1, [0.3, 0.2], [0.2, 0.1])
+        series = simulate_series(spec, th, SimConfig(n=300, burn_in=100, seed=4)).series
+        _compiled.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # clamping at the box corners
+            fit_mle(spec, series, opts=FitOptions(starts=2))
+        assert _compiled.cache_info().currsize == 1
+        misses = _compiled.cache_info().misses
+        _compiled(2, 2, 0, _PATH_LOOP)
+        assert _compiled.cache_info().misses == misses
+
+    def test_importing_the_cli_compiles_nothing(self):
+        probe = ("import odmlab.cli\n"
+                 "from odmlab.model import _compiled\n"
+                 "print(_compiled.cache_info().currsize)\n")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.split() == ["0"]
 
 
 class TestEmbedStep:

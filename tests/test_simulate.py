@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 from odmlab import rng as rngmod
-from odmlab.model import FEATURE_KINDS, PARX, ModelOrder, ModelSpec, ParxConfig, constant_window
+from odmlab.model import (
+    FEATURE_KINDS,
+    LOGLIN,
+    NBIN,
+    PARX,
+    ModelOrder,
+    ModelSpec,
+    ParxConfig,
+    constant_window,
+)
 from odmlab.simulate import (
     LatentExplosionError,
     SimConfig,
@@ -19,6 +28,7 @@ from odmlab.simulate import (
     stationary_moment_estimate,
 )
 
+import oracles
 from test_model import loglin_spec, nbin_spec, parx_spec
 
 
@@ -344,6 +354,19 @@ class TestSafeRange:
         spec, th, z = _explosive_cases()[name]
         got = _failure(spec, th, n=100_000, burn_in=0, seed=3, z_init=z)
         assert got == EXPLOSIVE_FAILURES[name]
+
+
+def test_general_shapes_match_unrolled_oracle():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(60):
+        spec, th = oracles.random_instance(rng, max_order=6, stable=True)
+        z = oracles.random_window(spec, rng)
+        seed = int(rng.integers(2**32))
+        sim = simulate_series(spec, th, SimConfig(n=80, burn_in=0, seed=seed, z_init=z))
+        assert sim.latents[1:].tolist() == oracles.unrolled_latent_path(spec, th, z, sim.series, 80)
+        seen.add((spec.family, spec.parx and (spec.parx.r_dim, spec.parx.d)))
+    assert {fam for fam, _ in seen} == {LOGLIN, NBIN, PARX} and (PARX, (2, 2)) in seen
 
 
 def test_default_simulation_windows_are_admissible():
