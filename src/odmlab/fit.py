@@ -9,13 +9,15 @@ bit-reproducible.  Coordinates whose box is a single point are pinned and
 excluded from the search.
 
 The search evaluates the likelihood's vectorized kernel, which agrees with
-the sequential pass to rounding.  Each start's final point is then
-re-evaluated once by the exact sequential pass; those values rank the
-starts, and the winner's is reported, so the reported log-likelihood equals
-:func:`loglik` at the estimate bit for bit.  Clamping warns at most once, and
-only when the pass at the estimate clamps.  The search and the re-ranking
-share one prepared form of the series; the forecast runs the same
-sequential recursion over its own.
+the sequential pass to rounding.  Each start leaves one record: its trace,
+the exact sequential pass at its final point, and, under
+``require_stability``, its final's stability report.  The sequential values
+rank the starts and the winner's record supplies the result, so the reported
+log-likelihood equals :func:`loglik` at the estimate bit for bit and no
+final is audited twice.  Clamping warns at most once, and only when the pass
+at the estimate clamps.  The search and the re-ranking share one prepared
+form of the series; the forecast runs the same sequential recursion over
+its own.
 """
 
 from __future__ import annotations
@@ -155,8 +157,10 @@ class FitOptions:
     seed: int = 0
 
     def __post_init__(self):
-        for what in ("starts", "max_evals", "polish_max_iter", "seed"):
-            _integer(getattr(self, what), what)
+        for what, least in (("starts", 1), ("max_evals", 1), ("polish_max_iter", 0)):
+            if (value := _integer(getattr(self, what), what)) < least:
+                raise ValueError(f"{what} must be >= {least}, got {value}")
+        _integer(self.seed, "seed")
         for what in ("require_stability", "guard_override"):
             if not isinstance(getattr(self, what), bool):
                 raise ValueError(f"{what} must be True or False, got {getattr(self, what)!r}")
@@ -185,10 +189,14 @@ class FitResult:
 
     theta_hat: ParameterVector
     loglik: LikelihoodValue
-    starts: int
     converged: bool
     condition_report: ConditionReport
     trace: tuple[StartTrace, ...]
+
+    @property
+    def starts(self) -> int:
+        """The number of starts searched, one trace entry each."""
+        return len(self.trace)
 
     def to_dict(self, spec: ModelSpec) -> dict:
         names = param_names(spec)
@@ -231,7 +239,7 @@ def _quasi_random_points(dim: int, count: int) -> np.ndarray:
     return pts
 
 
-def _data_informed_start(spec: ModelSpec, series: ObservationSeries, box: ThetaBox) -> np.ndarray:
+def _data_informed_start(spec: ModelSpec, series: ObservationSeries) -> np.ndarray:
     p, q = spec.p, spec.q
     ybar = _count_mean(series)
     if spec.family == LOGLIN:
@@ -253,7 +261,7 @@ def _data_informed_start(spec: ModelSpec, series: ObservationSeries, box: ThetaB
         b = [0.2 / q] * q
         omega = max(ybar * (1.0 - sum(a) - sum(b)), 1e-3)
         vec = [omega, *a, *b] + [0.1] * d
-    return box.clip(np.array(vec, dtype=float))
+    return np.array(vec, dtype=float)
 
 
 def _projected_bfgs(fg, x0, lo, hi, max_iter, max_evals):
@@ -347,9 +355,11 @@ def fit_mle(
 
     Starts are the box center, a data-informed point, quasi-random fill-ins,
     and any ``opts.extra_starts``; each runs one projected quasi-Newton
-    search.  The best final value wins, ties broken by lowest start index.
-    Raises ``FitFailureError`` when every start is non-finite, or every
-    finite one fails ``require_stability``.
+    search and leaves one record.  Under ``require_stability`` the search
+    runs from the passing starts (all when none passes) and excludes the
+    finals that do not pass.  The best final value wins, ties broken by
+    lowest start index.  Raises ``FitFailureError`` when every start is
+    non-finite, or every finite one fails ``require_stability``.
     """
     opts = opts or FitOptions()
     box = box or default_box(spec)
@@ -374,88 +384,69 @@ def fit_mle(
         full[active] = v_active
         return full
 
-    # Start list: center, data-informed, quasi-random, then user extras.  The
-    # quasi-random block is a Halton set under a seeded rotation (the start
-    # jitter substream), so starts are low-discrepancy yet seed-dependent.
-    starts_full = [base.copy(), _data_informed_start(spec, series, box)][: max(opts.starts, 1)]
-    n_quasi = max(opts.starts - len(starts_full), 0)
+    # Start list, each start clipped into the box here and only here: center,
+    # data-informed, quasi-random, then user extras.  The quasi-random block is
+    # a Halton set under a seeded rotation (the start jitter substream), so
+    # starts are low-discrepancy yet seed-dependent.
+    starts = [base, _data_informed_start(spec, series)][: opts.starts]
+    n_quasi = opts.starts - len(starts)
     if n_quasi and active.any():
         shift = rngmod.substream(opts.seed, rngmod.JITTER).random(int(active.sum()))
         unit = (_quasi_random_points(int(active.sum()), n_quasi) + shift) % 1.0
-        for row in unit:
-            full = base.copy()
-            full[active] = lower[active] + row * (upper[active] - lower[active])
-            starts_full.append(full)
-    for extra in opts.extra_starts:
-        starts_full.append(box.clip(pack_params(spec, extra)))
-
-    if opts.require_stability:
-        kept = [
-            v
-            for v in starts_full
-            if check_model(spec, unpack_params(spec, box.clip(v))).verdict == "Pass"
-        ]
-        if kept:
-            starts_full = kept
+        starts += [expand(lower[active] + row * (upper[active] - lower[active])) for row in unit]
+    starts += [pack_params(spec, extra) for extra in opts.extra_starts]
+    starts = [box.clip(v) for v in starts]
+    if opts.require_stability:  # search the passing starts, or all when none passes
+        starts = [v for v in starts if check_model(spec, unpack_params(spec, v)).passed] or starts
 
     def value_grad(v: np.ndarray):
         total, grad = _kernel(prep, expand(v), grad=True)
         return -total / prep.n, -grad[active]
 
-    traces = []
-    values = []  # each start's sequential LikelihoodValue, aligned with traces
-    for idx, start in enumerate(starts_full):
-        start = box.clip(start)
+    records = []  # per start: its trace, its sequential value, its final's report or None
+    for idx, start in enumerate(starts):
         xb, evals, _, converged, status = _projected_bfgs(
             value_grad, start[active], lower[active], upper[active],
             opts.polish_max_iter, opts.max_evals,
         )
-        final_full = expand(xb)
-        theta = unpack_params(spec, final_full)
+        final = expand(xb)
+        theta = unpack_params(spec, final)
         with warnings.catch_warnings():  # only the estimate's pass may warn, below
             warnings.simplefilter("ignore", ClampWarning)
-            values.append(_loglik_prepared(spec, theta, prep, False, False))
-        value = values[-1].normalized
-        if not math.isfinite(value):
-            value = -math.inf
-        excluded = False
-        if opts.require_stability and math.isfinite(value):
-            excluded = check_model(spec, theta).verdict != "Pass"
-        traces.append(
-            StartTrace(
-                start_index=idx,
-                initial=tuple(float(v) for v in start),
-                final=tuple(float(v) for v in final_full),
-                value=value,
-                evals=evals,
-                converged=converged,
-                polish=status,
-                excluded=excluded,
-            )
+            value = _loglik_prepared(spec, theta, prep, False, False)
+        finite = math.isfinite(value.normalized)
+        report = check_model(spec, theta) if opts.require_stability and finite else None
+        trace = StartTrace(
+            start_index=idx,
+            initial=tuple(float(v) for v in start),
+            final=tuple(float(v) for v in final),
+            value=value.normalized if finite else -math.inf,
+            evals=evals,
+            converged=converged,
+            polish=status,
+            excluded=report is not None and not report.passed,
         )
+        records.append((trace, value, report))
 
-    candidates = [t for t in traces if not t.excluded and math.isfinite(t.value)]
+    candidates = [r for r in records if math.isfinite(r[0].value) and not r[0].excluded]
     if not candidates:
         cause = ("every start with a finite objective was excluded by the stability check"
-                 if any(t.excluded for t in traces)
+                 if any(r[0].excluded for r in records)
                  else "every start produced a non-finite objective")
         raise FitFailureError(
             f"{cause}; check the data/box pairing (family {spec.family}, n = {series.n})"
         )
-    best = max(candidates, key=lambda t: (t.value, -t.start_index))
+    best, value, report = max(candidates, key=lambda r: (r[0].value, -r[0].start_index))
     theta_hat = unpack_params(spec, best.final)
     validate_params(spec, theta_hat)
-    value = values[best.start_index]
     if value.clamped:  # the same pass again, this time warning about the estimate
         value = _loglik_prepared(spec, theta_hat, prep, False, False)
-    report = check_model(spec, theta_hat)
     return FitResult(
         theta_hat=theta_hat,
         loglik=value,
-        starts=len(starts_full),
         converged=best.converged,
-        condition_report=report,
-        trace=tuple(traces),
+        condition_report=report or check_model(spec, theta_hat),
+        trace=tuple(r[0] for r in records),
     )
 
 

@@ -151,12 +151,12 @@ def _prepare(
     # ln y! and the loglin u once per distinct count; u by math.log1p, which
     # np.log1p does not match bit for bit
     vals, inv = np.unique(series.y, return_inverse=True)
-    u = np.array([math.log1p(v) for v in vals.tolist()])[inv] if fam == LOGLIN else vals[inv]
+    u = np.array([math.log1p(v) for v in vals.tolist()])[inv] if fam == LOGLIN else series.y
     lnf = np.array([lnfact(int(v)) for v in vals.tolist()])[inv[1:]]
     xw0, uw0 = _scalar_window(spec, z_init)
     cov = series.covariates
     feats = spec.parx.features(cov) if fam == PARX else None
-    return _Prepared(n, fam, vals[inv[1:]], u, feats, lnf, vals, inv, xw0, uw0, cov)
+    return _Prepared(n, fam, series.y[1:], u, feats, lnf, vals, inv, xw0, uw0, cov)
 
 
 def _loglik_prepared(

@@ -146,6 +146,8 @@ ERROR_FILES = {
     "mc_guard_string.json": {**MC_CONFIG, "fit": {"starts": 2, "guard_override": "no"}},
     "mc_starts_fraction.json": {**MC_CONFIG, "fit": {"starts": 2.7}},
     "mc_starts_bool.json": {**MC_CONFIG, "fit": {"starts": True}},
+    "mc_starts_0.json": {**MC_CONFIG, "fit": {"starts": 0}},
+    "mc_max_evals_0.json": {**MC_CONFIG, "fit": {"max_evals": 0}},
     "mc_fit_key.json": {**MC_CONFIG, "fit": {"starts": 2, "max_eval": 10}},
     "mc_replicates_fraction.json": {**MC_CONFIG, "replicates": 2.7},
     "mc_replicates_bool.json": {**MC_CONFIG, "replicates": True},
@@ -188,6 +190,8 @@ ERROR_TABLE = {
                         "parx.csv: line 3: covariates must be finite"),
     "fit_parx_nan": (("fit", "--family", "parx", "--data", "parx.csv", "--guard-override"),
                      "parx.csv: line 3: covariates must be finite"),
+    "fit_starts_0": (("fit", "--family", "loglin", "--data", "loglin.csv", "--starts", "0"),
+                     "starts must be >= 1, got 0"),
     "mc_negative_burn_in": (("mc-consistency", "--config", "mc_burn_in.json"),
                             "burn_in must be >= 0"),
     "mc_polish_string": (("mc-consistency", "--config", "mc_polish_string.json"),
@@ -199,6 +203,10 @@ ERROR_TABLE = {
                            "config 'fit' 'starts' must be an integer, got 2.7"),
     "mc_starts_bool": (("mc-consistency", "--config", "mc_starts_bool.json"),
                        "config 'fit' 'starts' must be an integer, got true"),
+    "mc_starts_0": (("mc-consistency", "--config", "mc_starts_0.json"),
+                    "starts must be >= 1, got 0"),
+    "mc_max_evals_0": (("mc-consistency", "--config", "mc_max_evals_0.json"),
+                       "max_evals must be >= 1, got 0"),
     "mc_unknown_fit_key": (("mc-consistency", "--config", "mc_fit_key.json"),
                            "unknown 'fit' keys in config: ['max_eval']; allowed: "),
     "mc_replicates_fraction": (("mc-consistency", "--config", "mc_replicates_fraction.json"),

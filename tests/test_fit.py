@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from odmlab.conditions import check_model
 from odmlab.fit import (
     FitFailureError,
     FitOptions,
@@ -76,6 +77,14 @@ class TestFitOptions:
     def test_non_integer_counts_rejected(self, field, value):
         FitOptions(**{field: np.int64(3)})  # numpy integers are integers
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            FitOptions(**{field: value})
+
+    @pytest.mark.parametrize("field, value, least", [("starts", 0, 1), ("starts", -3, 1),
+                                                     ("max_evals", 0, 1),
+                                                     ("polish_max_iter", -1, 0)])
+    def test_counts_below_their_least_rejected(self, field, value, least):
+        FitOptions(**{field: least})
+        with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
             FitOptions(**{field: value})
 
 
@@ -360,9 +369,12 @@ def _pinned_fit_cases():
     }
 
 
-def _fit_digest(spec, theta, box, opts):
+def _pinned_fit(spec, theta, box, opts):
     sim = simulate_series(spec, theta, SimConfig(n=300, burn_in=100, seed=31))
-    res = fit_mle(spec, sim.series, box=box, opts=opts)
+    return fit_mle(spec, sim.series, box=box, opts=opts)
+
+
+def _fit_digest(spec, res):
     trace = [
         (t.start_index, t.initial, t.final, t.value, t.evals, t.converged, t.polish, t.excluded)
         for t in res.trace
@@ -388,4 +400,27 @@ PINNED_FIT_DIGESTS = {
 class TestPinnedFits:
     @pytest.mark.parametrize("name", sorted(_pinned_fit_cases()))
     def test_digest(self, name):
-        assert _fit_digest(*_pinned_fit_cases()[name]) == PINNED_FIT_DIGESTS[name]
+        spec, theta, box, opts = _pinned_fit_cases()[name]
+        res = _pinned_fit(spec, theta, box, opts)
+        assert _fit_digest(spec, res) == PINNED_FIT_DIGESTS[name]
+        assert res.starts == len(res.trace)
+        # the winner's report, reused or computed once, is the one a fresh audit gives
+        assert res.condition_report.to_dict() == check_model(spec, res.theta_hat).to_dict()
+
+    def test_each_start_and_each_finite_final_audited_once(self, monkeypatch):
+        calls = []
+
+        def counting(spec, theta, *args, **kwargs):
+            calls.append(theta)
+            return check_model(spec, theta, *args, **kwargs)
+
+        monkeypatch.setattr("odmlab.fit.check_model", counting)
+        spec, theta, box, opts = _pinned_fit_cases()["loglin22_require_stability"]
+        res = _pinned_fit(spec, theta, box, opts)
+        finite = sum(math.isfinite(t.value) for t in res.trace)
+        # the pre-filter audits all 6 starts, then each finite final once;
+        # the winner's audit is not repeated
+        assert len(calls) == opts.starts + finite == 10
+        calls.clear()
+        _pinned_fit(*_pinned_fit_cases()["loglin22"])
+        assert len(calls) == 1  # without the check, only the winner
