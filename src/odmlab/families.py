@@ -5,9 +5,12 @@ The latent value parameterizes the count distribution: Poisson with mean e^x
 with mean x (PARX).  PARX additionally carries an autonomous Gaussian VAR(1)
 covariate kernel whose density does not depend on the model parameters, so
 it is excluded from the fitting objective by default and can be re-added for
-total log-likelihood reporting.  Each family's scalar count log-density is
-written once, in the private term loop ``_log_terms``: the likelihood's
-sequential pass, :func:`log_density` and the forecast pmf all call it.
+total log-likelihood reporting.  Each family's count log-density is written
+once, in the private term pass ``_log_terms``: the likelihood's sequential
+pass, :func:`log_density` and the forecast pmf all call it.  It calls
+``math``'s transcendentals once per term and does the arithmetic around them
+on arrays in the scalar formula's order, so each term has the bits of the
+scalar formula on Python floats (a NaN term's sign bit is not kept).
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from .model import LOGLIN, NBIN, PARX, DomainError, ModelSpec, ParameterVector, 
 # this range e^x would under/overflow a double.
 CLAMP_LO = -745.0
 CLAMP_HI = 700.0
+# the forecast's pmf covers at most this many counts, and its mean at most this
+# many: scipy's quantile and the pmf both cost time or memory linear in the mean
+PMF_SUPPORT_MAX = 10**6
 
 _LNFACT_TABLE_SIZE = 257
 _lnfact_table = [0.0] * _LNFACT_TABLE_SIZE
@@ -66,64 +72,82 @@ class PredictiveDistribution:
     mean: float
     r: Optional[float] = None
 
+    def _check_mean(self) -> None:
+        if not 0.0 <= self.mean < math.inf:
+            raise DomainError(f"predictive mean must be finite and >= 0, got {self.mean}")
+        if self.mean > PMF_SUPPORT_MAX:
+            raise DomainError(f"predictive mean {self.mean:.6g} is above the largest "
+                              f"forecast support, {PMF_SUPPORT_MAX} counts")
+
     def quantile(self, prob: float) -> int:
         """Smallest y with CDF(y) >= prob."""
         from scipy import stats  # slow to import, and only the forecast needs it
+        self._check_mean()  # scipy's ppf slows down or fails far beyond the cap
         if self.kind == "poisson":
-            return int(stats.poisson.ppf(prob, self.mean))
-        x = self.mean / self.r
-        return int(stats.nbinom.ppf(prob, self.r, 1.0 / (1.0 + x)))
+            y = stats.poisson.ppf(prob, self.mean)
+        else:
+            y = stats.nbinom.ppf(prob, self.r, 1.0 / (1.0 + self.mean / self.r))
+        if not math.isfinite(y):
+            raise DomainError(f"quantile {prob} of the predictive law at mean "
+                              f"{self.mean:.6g} is not finite")
+        return int(y)
 
     def pmf_values(self, y_max: int) -> np.ndarray:
         """P(Y = y) for y = 0..y_max."""
-        if not 0.0 <= self.mean < math.inf:
-            raise DomainError(f"predictive mean must be finite and >= 0, got {self.mean}")
+        self._check_mean()
+        if y_max + 1 > PMF_SUPPORT_MAX:
+            raise DomainError(f"pmf support of {y_max + 1} counts is above the largest "
+                              f"forecast support, {PMF_SUPPORT_MAX} counts")
         ys = range(y_max + 1)
         # Poisson(m) is the PARX law at x = m, and NB(r, m) the NBIN law at x = m / r
         family, x = (PARX, self.mean) if self.kind == "poisson" else (NBIN, self.mean / self.r)
         terms = _log_terms(family, self.r, [x] * len(ys), ys, [lnfact(y) for y in ys])[0]
-        return np.array([math.exp(t) for t in terms])
+        return np.fromiter(map(math.exp, terms.tolist()), float, len(ys))
 
 
-def _log_terms(family: str, r, xs, ys, lnf, distinct=None):
-    """ln g(x_k; y_k) for each term in order: (terms, clamped, first clamped k or 0).
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing term reads as inf, like a float
+def _log_terms(family: str, r, xs: list, ys, lnf, distinct=None, index=None):
+    """ln g(x_k; y_k) for each term in order: (terms array, clamped, first clamped k or 0).
 
-    The one scalar copy of each family's count density; it never warns.
-    ``lnf`` holds ln(y_k!) and ``r`` the NBIN shape, whose count-only head is
-    computed once per value of ``distinct`` (default ``ys``).  Log-linear
-    clamps x to [CLAMP_LO, CLAMP_HI] and lets NaN through; NBIN and PARX give
-    -inf outside (0, inf), and 0 at x = 0 with y = 0.
+    The one copy of each family's count density; it never warns.  ``xs`` is
+    a list of latents, ``ys`` and ``lnf`` hold y_k and ln(y_k!), and ``r`` is
+    the NBIN shape.  Each transcendental is ``math``'s, called once per term
+    (numpy's differ from it by an ulp); the arithmetic around it runs in numpy
+    in the scalar formula's left-to-right order, which rounds the same, so
+    every term has the scalar formula's bits (a NaN term's sign may differ).
+    NBIN's count-only head is computed once per value of ``distinct`` and
+    gathered by ``index`` (default: once per ``ys``).  Log-linear clamps x to
+    [CLAMP_LO, CLAMP_HI] and lets NaN through; NBIN and PARX give -inf outside
+    (0, inf), and 0 at x = 0 with y = 0.
     """
-    terms = []
-    add = terms.append
-    clamped = first_clamped = 0
-    log, inf = math.log, math.inf
+    n = len(xs)
+    x = np.fromiter(xs, float, n)
+    y = np.asarray(ys, dtype=float)
     if family == LOGLIN:
-        exp = math.exp
-        for x, yk, lf in zip(xs, ys, lnf):
-            if not CLAMP_LO <= x <= CLAMP_HI and x == x:  # NaN passes through
-                clamped += 1
-                first_clamped = first_clamped or len(terms) + 1  # this term's k
-                x = CLAMP_LO if x < CLAMP_LO else CLAMP_HI
-            add(-exp(x) + yk * x - lf)
-    elif family == NBIN:
-        log1p = math.log1p
+        out = (x < CLAMP_LO) | (x > CLAMP_HI)  # NaN passes through
+        clamped = int(np.count_nonzero(out))
+        if clamped:
+            x = np.clip(x, CLAMP_LO, CLAMP_HI)
+            xs = x.tolist()
+        e = np.fromiter(map(math.exp, xs), float, n)
+        return (-e + y * x) - lnf, clamped, int(out.argmax()) + 1 if clamped else 0
+    out = ~((0.0 < x) & (x < math.inf))
+    masked = out.any()
+    if masked:
+        xs = np.where(out, 1.0, x).tolist()  # math.log raises at 0
+    lx = np.fromiter(map(math.log, xs), float, n)
+    if family == NBIN:
+        l1 = np.fromiter(map(math.log1p, xs), float, n)
         lgamma_r = math.lgamma(r)
         # lgamma(r + y) - ln y! - lgamma(r), once per distinct count
-        head = {v: math.lgamma(r + v) - lnfact(int(v)) - lgamma_r for v in distinct or ys}
-        for x, yk in zip(xs, ys):
-            if 0.0 < x < inf:
-                l1 = log1p(x)
-                add(head[yk] - r * l1 + yk * log(x) - yk * l1)
-            else:
-                add(0.0 if x == 0.0 and yk == 0 else -inf)
+        values = y.tolist() if distinct is None else distinct.tolist()
+        head = np.array([math.lgamma(r + v) - lnfact(int(v)) - lgamma_r for v in values])
+        terms = ((head if index is None else head[index]) - r * l1 + y * lx) - y * l1
     else:  # PARX
-        for x, yk, lf in zip(xs, ys, lnf):
-            if 0.0 < x < inf:
-                add(-x + yk * log(x) - lf)
-            else:
-                add(0.0 if x == 0.0 and yk == 0 else -inf)
-    return terms, clamped, first_clamped
+        terms = (-x + y * lx) - lnf
+    if masked:
+        terms[out] = np.where((x[out] == 0.0) & (y[out] == 0.0), 0.0, -math.inf)
+    return terms, 0, 0
 
 
 def log_density(spec: ModelSpec, theta: ParameterVector, x: float, y: int) -> float:
@@ -140,7 +164,7 @@ def log_density(spec: ModelSpec, theta: ParameterVector, x: float, y: int) -> fl
     elif x < 0.0:
         what = "NBIN latent" if spec.family == NBIN else "PARX intensity"
         raise DomainError(f"{what} must be >= 0, got {x}")
-    return _log_terms(spec.family, theta.r, [x], [y], [lnfact(y)])[0][0]
+    return _log_terms(spec.family, theta.r, [x], [y], [lnfact(y)])[0].item()
 
 
 def covariate_log_density(spec: ModelSpec, xi_prev, xi_next):

@@ -6,9 +6,10 @@ lower-triangular system x_k - sum_i a_i x_{k-i} = d_k; the first observation
 only conditions the recursion.  :func:`loglik` takes the latent path from
 the model's one sequential recursion (the same arithmetic as
 :func:`~odmlab.model.iterate_latent`), then evaluates the family's count
-density at each term by the term loop in :mod:`odmlab.families` (its one
-scalar copy) and sums the terms in order; that alone matches a brute-force
-recomputation to 1e-12 absolute on explosive log-linear totals (up to 1e96).
+density at each term by the term pass in :mod:`odmlab.families` (its one
+copy, with the scalar formula's bits on every term that is not NaN) and sums
+the terms in order; that alone matches a brute-force recomputation to 1e-12
+absolute on explosive log-linear totals (up to 1e96).
 A private vectorized kernel solves the system with LAPACK ``dtbtrs`` and
 gets the gradient from one transposed solve for the adjoint weights; the
 optimizer and :func:`grad_loglik` use it, and its value agrees with
@@ -92,10 +93,11 @@ class LikelihoodValue:
 class _Prepared:
     """A series and its initial window, reduced once for every parameter point.
 
-    numpy builds it with no loop over the observations.  The kernel reads the
-    arrays; the sequential pass and the forecast iterate them in place
-    through memoryviews, which yield the doubles without a list copy.  What
-    only the kernel reads is built on its first use.
+    numpy builds it with no loop over the observations.  The kernel and the
+    term pass read the arrays; the latent recursion of the sequential pass and
+    of the forecast iterates them in place through memoryviews, which yield
+    the doubles without a list copy.  What only the kernel reads is built on
+    its first use.
     """
 
     n: int
@@ -168,9 +170,8 @@ def _loglik_prepared(
 ) -> LikelihoodValue:
     n = prep.n
     xs = prep.latent_path(theta, n)
-    terms, clamped, first_clamped = _log_terms(spec.family, theta.r, xs, memoryview(prep.y),
-                                               memoryview(prep.lnf), memoryview(prep.distinct))
-    values = np.array(terms)
+    values, clamped, first_clamped = _log_terms(spec.family, theta.r, xs, prep.y, prep.lnf,
+                                                prep.distinct, prep.index[1:])
     if include_covariate_density:
         values += covariate_log_density(spec, prep.covariates[:-1], prep.covariates[1:])
     finite = np.isfinite(values)

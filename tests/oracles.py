@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from odmlab.families import CLAMP_HI, CLAMP_LO, lnfact
 from odmlab.model import LOGLIN, NBIN, PARX
 
 # feature kind -> its value at one covariate coordinate v
@@ -99,6 +100,47 @@ def density_log_pmf(spec, theta, x, y):
     if x == 0.0:
         return 0.0 if y == 0 else -math.inf
     return -x + y * math.log(x) - math.lgamma(y + 1)
+
+
+def scalar_log_terms(family, r, xs, ys, lnf, distinct=None):
+    """ln g(x_k; y_k) one term at a time: (terms, clamped, first clamped k or 0).
+
+    The library's count densities as a plain scalar loop, every operation on
+    Python floats in the formula's order: the bit-for-bit reference for
+    ``families._log_terms``.  Log-linear clamps x to [CLAMP_LO, CLAMP_HI] and
+    lets NaN through; NBIN and PARX give -inf outside (0, inf), and 0 at
+    x = 0 with y = 0.
+    """
+    terms = []
+    add = terms.append
+    clamped = first_clamped = 0
+    log, inf = math.log, math.inf
+    if family == LOGLIN:
+        exp = math.exp
+        for x, yk, lf in zip(xs, ys, lnf):
+            if not CLAMP_LO <= x <= CLAMP_HI and x == x:  # NaN passes through
+                clamped += 1
+                first_clamped = first_clamped or len(terms) + 1  # this term's k
+                x = CLAMP_LO if x < CLAMP_LO else CLAMP_HI
+            add(-exp(x) + yk * x - lf)
+    elif family == NBIN:
+        log1p = math.log1p
+        lgamma_r = math.lgamma(r)
+        # lgamma(r + y) - ln y! - lgamma(r), once per distinct count
+        head = {v: math.lgamma(r + v) - lnfact(int(v)) - lgamma_r for v in distinct or ys}
+        for x, yk in zip(xs, ys):
+            if 0.0 < x < inf:
+                l1 = log1p(x)
+                add(head[yk] - r * l1 + yk * log(x) - yk * l1)
+            else:
+                add(0.0 if x == 0.0 and yk == 0 else -inf)
+    else:  # PARX
+        for x, yk, lf in zip(xs, ys, lnf):
+            if 0.0 < x < inf:
+                add(-x + yk * log(x) - lf)
+            else:
+                add(0.0 if x == 0.0 and yk == 0 else -inf)
+    return terms, clamped, first_clamped
 
 
 def brute_force_loglik(spec, theta, z_init, series):

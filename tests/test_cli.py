@@ -141,6 +141,10 @@ ERROR_FILES = {
     "omega_null.json": {**LOGLIN_THETA, "theta_hat": {"omega": None, "a1": 0.5, "b1": 0.3}},
     "omega_bool.json": {**LOGLIN_THETA, "theta_hat": {"omega": True, "a1": 0.5, "b1": 0.3}},
     "order_fraction.json": {**LOGLIN_THETA, "order": {"p": 1.7, "q": 1}},
+    "omega_690.json": {**LOGLIN_THETA, "theta_hat": {"omega": 690, "a1": 0.0, "b1": 0.0}},
+    "omega_20.json": {**LOGLIN_THETA, "theta_hat": {"omega": 20, "a1": 0.0, "b1": 0.0}},
+    "nbin_omega_1e200.json": {"family": "nbin", "order": {"p": 1, "q": 1},
+                              "theta_hat": {"omega": 1e200, "a1": 0.0, "b1": 0.0, "r": 2.0}},
     "mc_burn_in.json": {**MC_CONFIG, "burn_in": -5},
     "mc_polish_string.json": {**MC_CONFIG, "fit": {"starts": 2, "polish": "false"}},
     "mc_guard_string.json": {**MC_CONFIG, "fit": {"starts": 2, "guard_override": "no"}},
@@ -181,6 +185,13 @@ ERROR_TABLE = {
                             "theta file 'theta_hat' 'omega' must be a number, got true"),
     "forecast_order_fraction": ((*FORECAST, "order_fraction.json"),
                                 "theta file order 'p' must be an integer, got 1.7"),
+    "forecast_omega_690": ((*FORECAST, "omega_690.json"),
+                           "predictive mean 4.60461e+299 is above the largest forecast support"),
+    "forecast_omega_20": ((*FORECAST, "omega_20.json"),
+                          "predictive mean 4.85165e+08 is above the largest forecast support"),
+    "forecast_nbin_omega_1e200": (("forecast", "--family", "nbin", "--data", "loglin.csv",
+                                   "--theta-file", "nbin_omega_1e200.json"),
+                                  "predictive mean 2e+200 is above the largest forecast support"),
     "forecast_parx_nan": (("forecast", "--family", "parx", "--data", "parx.csv",
                            "--theta-file", "parx_theta.json"), "covariates must be finite"),
     "check_negative_depth": (("check", "--family", "loglin", "--omega", "0", "--a", "0.6", "-0.3",

@@ -9,6 +9,9 @@ from scipy import stats
 
 from odmlab import rng as rngmod
 from odmlab.families import (
+    CLAMP_HI,
+    CLAMP_LO,
+    PMF_SUPPORT_MAX,
     ClampWarning,
     PredictiveDistribution,
     bind_sampler,
@@ -16,11 +19,13 @@ from odmlab.families import (
     log_density,
     lnfact,
     predictive,
+    _log_terms,
 )
 from odmlab.model import (
     FEATURE_KINDS,
     LOGLIN,
     NBIN,
+    PARX,
     DomainError,
     ModelOrder,
     ModelSpec,
@@ -300,6 +305,18 @@ class TestPredictive:
         with pytest.raises(DomainError, match=f"mean must be finite and >= 0, got {mean}"):
             dist.pmf_values(2)
 
+    @pytest.mark.parametrize("kind", ["poisson", "negbinomial"])
+    def test_huge_mean_refused_before_any_work(self, kind):
+        dist = PredictiveDistribution(kind=kind, mean=2.0 * PMF_SUPPORT_MAX, r=2.0)
+        for call in (lambda: dist.quantile(0.5), lambda: dist.pmf_values(3)):
+            with pytest.raises(DomainError, match="above the largest forecast support"):
+                call()
+        small = PredictiveDistribution(kind=kind, mean=3.0, r=2.0)
+        with pytest.raises(DomainError, match=f"support of {PMF_SUPPORT_MAX + 1} counts"):
+            small.pmf_values(PMF_SUPPORT_MAX)
+        with pytest.raises(DomainError, match="quantile 1.0 of the predictive law at mean 3 "):
+            small.quantile(1.0)  # scipy's ppf is inf there
+
     def test_truncated_pmf_mass(self):
         dist = PredictiveDistribution(kind="negbinomial", mean=6.0, r=2.0)
         y_max = dist.quantile(1.0 - 1e-12)
@@ -339,3 +356,37 @@ class TestPinnedLaw:
         dists += [PredictiveDistribution(kind="negbinomial", mean=m, r=r)
                   for m in (0.0, 0.7, 6.0) for r in (0.8, 2.0, 13.5)]
         assert _digest([d.pmf_values(40).tolist() for d in dists]) == PINNED_PMF_DIGEST
+
+
+# latents the term pass treats specially: signed zeros, the least subnormal,
+# the infinities, NaN, and each clamp bound with its neighbour outside
+SPECIAL_LATENTS = (0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan, CLAMP_LO, CLAMP_HI,
+                   math.nextafter(CLAMP_LO, -math.inf), math.nextafter(CLAMP_HI, math.inf))
+
+
+def test_log_terms_match_scalar_reference():
+    """The array pass gives the scalar loop's bits on every term that is not NaN."""
+    rng = np.random.default_rng(2024)
+    for case in range(600):
+        family = (LOGLIN, NBIN, PARX)[case % 3]
+        n = int(rng.integers(1, 60))
+        if family == LOGLIN:
+            xs = rng.uniform(-800.0, 800.0, n)
+        else:
+            xs = np.exp(rng.uniform(-30.0, 8.0, n)) * rng.choice([1.0, 1.0, 1.0, -1.0], n)
+        spots = rng.random(n) < 0.25
+        xs[spots] = rng.choice(SPECIAL_LATENTS, int(spots.sum()))
+        ys = np.floor(10.0 ** rng.uniform(0.0, 15.0, n)) * (rng.random(n) < 0.7)
+        small = rng.random(n) < 0.3
+        ys[small] = rng.poisson(2.0, int(small.sum()))
+        r = float(rng.uniform(0.05, 40.0))
+        lnf = np.array([lnfact(int(v)) for v in ys.tolist()])
+        distinct, index = np.unique(ys, return_inverse=True) if case % 2 else (None, None)
+        got, clamped, first = _log_terms(family, r, xs.tolist(), ys, lnf, distinct, index)
+        want, want_clamped, want_first = oracles.scalar_log_terms(
+            family, r, xs.tolist(), ys.tolist(), lnf.tolist())
+        want = np.array(want)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), case
+        assert got[~nan].tobytes() == want[~nan].tobytes(), case
+        assert (clamped, first) == (want_clamped, want_first), case
