@@ -287,11 +287,12 @@ def check_identifiable(a, b) -> ConditionReport:
     if all(v == 0.0 for v in b):
         checks = (ConditionCheck("feedback_poly_nonzero", 0.0, 0.0, False),)
         return ConditionReport(verdict="Fail", checks=checks)
-    roots = np.roots(b)  # feedback polynomial b1 z^(q-1) + ... + bq
-    pcoef = np.array([1.0] + [-v for v in a])
-    if roots.size == 0:
+    # feedback polynomial b1 z^(q-1) + ... + bq; a nonzero constant (q = 1) has no roots
+    roots = np.roots(b) if len(b) > 1 else ()
+    if len(roots) == 0:
         checks = (ConditionCheck("min_scaled_latent_poly_at_roots", math.inf, TOL_ROOT, True),)
         return ConditionReport(verdict="Pass", checks=checks)
+    pcoef = np.array([1.0] + [-v for v in a])
     vals = np.abs(np.polyval(pcoef, roots)) / (1.0 + np.abs(roots)) ** p
     margin = float(np.min(vals))
     ok = margin > TOL_ROOT

@@ -42,11 +42,19 @@ class ClampWarning(RuntimeWarning):
     """The latent was clamped before exponentiation."""
 
 
+def _lgamma(v: float, what: str) -> float:
+    """math.lgamma(v); ``DomainError`` naming ``what`` and v where it overflows a double."""
+    try:
+        return math.lgamma(v)
+    except OverflowError:  # v above about 2.56e305
+        raise DomainError(f"ln Gamma({what}) overflows a double at {what} = {v:.6g}") from None
+
+
 def lnfact(y: int) -> float:
-    """ln(y!) -- table lookup for y <= 256, lgamma beyond."""
+    """ln(y!) -- table lookup for y <= 256, lgamma beyond; ``DomainError`` above about 2.56e305."""
     if y < _LNFACT_TABLE_SIZE:
         return _lnfact_table[y]
-    return math.lgamma(y + 1.0)
+    return _lgamma(y + 1.0, "y + 1")
 
 
 def _clamped(x: float) -> float:
@@ -138,10 +146,10 @@ def _log_terms(family: str, r, xs: list, ys, lnf, distinct=None, index=None):
     lx = np.fromiter(map(math.log, xs), float, n)
     if family == NBIN:
         l1 = np.fromiter(map(math.log1p, xs), float, n)
-        lgamma_r = math.lgamma(r)
+        lgamma_r = _lgamma(r, "r")
         # lgamma(r + y) - ln y! - lgamma(r), once per distinct count
         values = y.tolist() if distinct is None else distinct.tolist()
-        head = np.array([math.lgamma(r + v) - lnfact(int(v)) - lgamma_r for v in values])
+        head = np.array([_lgamma(r + v, "r + y") - lnfact(int(v)) - lgamma_r for v in values])
         terms = ((head if index is None else head[index]) - r * l1 + y * lx) - y * l1
     else:  # PARX
         terms = (-x + y * lx) - lnf

@@ -17,7 +17,7 @@ log-likelihood equals :func:`loglik` at the estimate bit for bit and no
 final is audited twice.  Clamping warns at most once, and only when the pass
 at the estimate clamps.  The search and the re-ranking share one prepared
 form of the series; the forecast runs the same sequential recursion over
-its own.
+its own, keeping only the last latent.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .model import (
     ModelSpec,
     ObservationSeries,
     ParameterVector,
+    _LAST_LOOP,
     _count_mean,
     _integer,
     default_initial_window,
@@ -248,7 +249,8 @@ def _data_informed_start(spec: ModelSpec, series: ObservationSeries) -> np.ndarr
         omega = math.log1p(ybar) * (1.0 - sum(a) - sum(b))
         vec = [omega, *a, *b]
     elif spec.family == NBIN:
-        yvar = float(np.var(series.y))
+        with np.errstate(over="ignore"):  # counts above about 1e154: the variance reads inf
+            yvar = float(np.var(series.y))
         xbar = max(yvar / max(ybar, 1e-6) - 1.0, 0.1)
         r0 = max(ybar / xbar, 1e-2)
         a = [0.2 / p] * p
@@ -458,10 +460,12 @@ def forecast_one_step(
 ) -> PredictiveDistribution:
     """Predictive law of the next count after the observed series.
 
-    Runs the latent recursion over all n + 1 observations, so a series of
-    one observation (n = 0) forecasts too.
+    Runs the latent recursion over all n + 1 observations, keeping only its
+    last latent, so a series of one observation (n = 0) forecasts too.  It
+    builds no ln y!, so a count whose ln y! overflows a double (above about
+    2.56e305), where the likelihood raises ``DomainError``, does not stop it.
     """
     validate_params(spec, theta)
     prep = _prepare(spec, z_init, series, min_n=0)
-    x_next = prep.latent_path(theta, prep.n + 1)[-1]
+    x_next = prep.latent_path(theta, prep.n + 1, _LAST_LOOP)
     return predictive(spec, theta, x_next)

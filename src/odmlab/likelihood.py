@@ -18,7 +18,10 @@ so importing odmlab, simulating and auditing never load scipy.  Both cost
 O(n * (p + q)).  One private prepared form of (series, initial window),
 numpy arrays built with no loop over the observations and iterated in place
 by the sequential readers, feeds the sequential pass, the kernel and the
-forecast: a fit reduces once.
+forecast: a fit reduces once.  Each reader builds only the fields it reads:
+the forecast reads the window and the reduced observations alone, the term
+pass adds the count tables (one sort of the counts), and the kernel adds its
+design matrix and the ln y! sum over the distinct counts.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .model import (
     ModelSpec,
     ObservationSeries,
     ParameterVector,
+    _PATH_LOOP,
     _latent_path,
     _scalar_window,
     check_series,
@@ -96,8 +100,11 @@ class _Prepared:
     numpy builds it with no loop over the observations.  The kernel and the
     term pass read the arrays; the latent recursion of the sequential pass and
     of the forecast iterates them in place through memoryviews, which yield
-    the doubles without a list copy.  What only the kernel reads is built on
-    its first use.
+    the doubles without a list copy.  The fields below hold all that the
+    forecast reads.  The rest are built on first use: the count tables
+    (``distinct``, ``index``, ``lnf``) by the term pass and the kernel, from
+    one sort of y_1..y_n that the log-linear prepare has already made for
+    ``u``; ``counts``, ``lnf_sum`` and ``matrix`` by the kernel alone.
     """
 
     n: int
@@ -105,21 +112,44 @@ class _Prepared:
     y: np.ndarray  # y_1..y_n
     u: np.ndarray  # reduced observations u_0..u_n; PARX: the counts
     feats: Optional[np.ndarray]  # PARX: (d, n + 1), column k is the feature row f_k
-    lnf: np.ndarray  # ln(y_k!) for k = 1..n
-    distinct: np.ndarray  # the distinct counts; y_k is distinct[index[k]]
-    index: np.ndarray
     xw0: tuple[float, ...]
     uw0: tuple[float, ...]
     covariates: Optional[np.ndarray]  # PARX: xi_0..xi_n
 
     @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.unique(self.y, return_inverse=True)
+
+    @property
+    def distinct(self) -> np.ndarray:  # the distinct counts of y_1..y_n
+        return self._table[0]
+
+    @property
+    def index(self) -> np.ndarray:  # y_k is distinct[index[k - 1]]
+        return self._table[1]
+
+    @cached_property
+    def lnf(self) -> np.ndarray:  # ln(y_k!) for k = 1..n
+        return np.array([lnfact(int(v)) for v in self.distinct.tolist()])[self.index]
+
+    @cached_property
+    def _mult(self) -> np.ndarray:  # how often each distinct count occurs
+        return np.bincount(self.index, minlength=self.distinct.size)
+
+    @cached_property
     def lnf_sum(self) -> float:
-        return math.fsum(self.lnf.tolist())
+        # fsum rounds the exact sum once, so m copies of ln(v!) may enter as the
+        # exact parts ln(v!) * 2^k, one per set bit k of m: the bits of the fsum
+        # over the n terms (m * ln(v!) would round first)
+        parts = []
+        for v, m in zip(self.distinct.tolist(), self._mult.tolist()):
+            term = lnfact(int(v))
+            parts += [math.ldexp(term, k) for k in range(m.bit_length()) if m >> k & 1]
+        return math.fsum(parts)
 
     @cached_property
     def counts(self) -> tuple[np.ndarray, np.ndarray]:  # NBIN: distinct y_1..y_n, multiplicities
-        mult = np.bincount(self.index[1:], minlength=self.distinct.size)
-        return self.distinct[mult > 0], mult[mult > 0].astype(float)
+        return self.distinct, self._mult.astype(float)
 
     # (n, dim): row k - 1 is d_k's coefficient on each packed parameter:
     # 1 | x_{k-i} from the initial window, else 0 | u_{k-j} | 0 (NBIN r) | f_{k-1}
@@ -136,10 +166,10 @@ class _Prepared:
             columns.extend(self.feats[:, :n])
         return np.column_stack(columns)
 
-    def latent_path(self, theta: ParameterVector, m: int) -> list:
-        """x_1..x_m by the sequential recursion, for m <= n + 1."""
+    def latent_path(self, theta: ParameterVector, m: int, loop: str = _PATH_LOOP):
+        """x_1..x_m by the sequential recursion, for m <= n + 1; x_m alone with ``_LAST_LOOP``."""
         f = () if self.feats is None else map(memoryview, self.feats[:, :m])
-        return _latent_path(theta, self.xw0, self.uw0, memoryview(self.u[:m]), f)
+        return _latent_path(theta, self.xw0, self.uw0, memoryview(self.u[:m]), f, loop)
 
 
 def _prepare(
@@ -150,15 +180,20 @@ def _prepare(
     n, fam = series.n, spec.family
     if n < min_n:  # the forecast alone takes n = 0
         raise ValueError("need at least two observations (n >= 1 likelihood terms)")
-    # ln y! and the loglin u once per distinct count; u by math.log1p, which
-    # np.log1p does not match bit for bit
-    vals, inv = np.unique(series.y, return_inverse=True)
-    u = np.array([math.log1p(v) for v in vals.tolist()])[inv] if fam == LOGLIN else series.y
-    lnf = np.array([lnfact(int(v)) for v in vals.tolist()])[inv[1:]]
     xw0, uw0 = _scalar_window(spec, z_init)
     cov = series.covariates
     feats = spec.parx.features(cov) if fam == PARX else None
-    return _Prepared(n, fam, series.y[1:], u, feats, lnf, vals, inv, xw0, uw0, cov)
+    y = series.y[1:]
+    if fam != LOGLIN:
+        return _Prepared(n, fam, y, series.y, feats, xw0, uw0, cov)
+    # the loglin u once per distinct count, by math.log1p, which np.log1p does
+    # not match bit for bit; the sort is kept as the count tables' own
+    vals, inv = np.unique(y, return_inverse=True)
+    logs = np.array([math.log1p(v) for v in vals.tolist()])
+    u = np.concatenate(([math.log1p(series.y[0])], logs[inv]))
+    prep = _Prepared(n, fam, y, u, feats, xw0, uw0, cov)
+    object.__setattr__(prep, "_table", (vals, inv))  # where the cached property keeps it
+    return prep
 
 
 def _loglik_prepared(
@@ -170,8 +205,9 @@ def _loglik_prepared(
 ) -> LikelihoodValue:
     n = prep.n
     xs = prep.latent_path(theta, n)
-    values, clamped, first_clamped = _log_terms(spec.family, theta.r, xs, prep.y, prep.lnf,
-                                                prep.distinct, prep.index[1:])
+    lnf = None if spec.family == NBIN else prep.lnf  # NBIN's head reads ln y! per distinct count
+    values, clamped, first_clamped = _log_terms(spec.family, theta.r, xs, prep.y, lnf,
+                                                prep.distinct, prep.index)
     if include_covariate_density:
         values += covariate_log_density(spec, prep.covariates[:-1], prep.covariates[1:])
     finite = np.isfinite(values)

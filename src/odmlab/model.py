@@ -416,6 +416,15 @@ def loop(omega, a, b, gamma, xw, uw, u):
     return path
 """
 
+# the same recursion keeping only its last latent: the window's newest for an empty u
+_LAST_LOOP = """\
+def loop(omega, a, b, gamma, xw, uw, u):
+{head}
+    for u1{f} in u:
+{step}
+    return x
+"""
+
 
 def _names(stem: str, count: int) -> list[str]:
     return [f"{stem}{i}" for i in range(1, count + 1)]
@@ -447,14 +456,15 @@ def _compiled(p: int, q: int, d: int, loop: str):
     return namespace["loop"]
 
 
-def _latent_path(theta: ParameterVector, xw0, uw0, u, f=()) -> list:
+def _latent_path(theta: ParameterVector, xw0, uw0, u, f=(), loop: str = _PATH_LOOP):
     """x_1..x_m from the window (xw0, uw0) and the reduced data u_0..u_{m-1}.
 
     ``u[k]`` is u_k (PARX: the count y_k) and ``f[j][k]`` feature j of the
-    PARX feature row f_k; x_k reads u_{k-1} and f_{k-1}.
+    PARX feature row f_k; x_k reads u_{k-1} and f_{k-1}.  With ``_LAST_LOOP``
+    the result is x_m alone (the window's newest latent when m = 0).
     """
     gamma = theta.gamma or ()
-    run = _compiled(len(theta.a), len(theta.b), len(gamma), _PATH_LOOP)
+    run = _compiled(len(theta.a), len(theta.b), len(gamma), loop)
     return run(theta.omega, theta.a, theta.b, gamma, xw0, uw0, zip(u, *f) if gamma else u)
 
 

@@ -121,6 +121,7 @@ class TestCheck:
 
 
 PARX_ARGS = ("--family", "parx", "--omega", "0.5", "--a", "0.3", "--b", "0.2", "--gamma", "0.3")
+NBIN_ARGS = ("--family", "nbin", "--omega", "1", "--a", "0.3", "--b", "0.2", "--r", "2")
 LOGLIN_ARGS = ("--family", "loglin", "--omega", "0", "--a", "0.1", "--b", "0.1")
 LOGLIN_THETA = {"family": "loglin", "order": {"p": 1, "q": 1},
                 "theta_hat": {"omega": 0.1, "a1": 0.5, "b1": 0.3}}
@@ -130,6 +131,9 @@ MC_CONFIG = {"family": "loglin", "theta_star": {"omega": 0.1, "a": [0.5], "b": [
 ERROR_FILES = {
     "one.csv": "t,y\n0,3\n",
     "loglin.csv": "t,y\n0,3\n1,1\n2,4\n3,0\n",
+    "huge.csv": f"t,y\n0,3\n1,1\n2,{10**306}\n3,0\n",
+    "huge61.csv": "t,y\n" + "".join(f"{t},{(3, 1, 4, 0, 2)[t % 5] if t < 60 else 10**306}\n"
+                                     for t in range(61)),
     "parx.csv": "t,y,xi_1\n0,3,0.5\n1,1,nan\n2,4,0.1\n3,0,0.2\n",
     "box.json": [1, 2],
     "theta_list.json": [1],
@@ -192,6 +196,14 @@ ERROR_TABLE = {
     "forecast_nbin_omega_1e200": (("forecast", "--family", "nbin", "--data", "loglin.csv",
                                    "--theta-file", "nbin_omega_1e200.json"),
                                   "predictive mean 2e+200 is above the largest forecast support"),
+    "loglik_nbin_count_1e306": (("loglik", *NBIN_ARGS, "--data", "huge.csv"),
+                                "ln Gamma(r + y) overflows a double at r + y = 1e+306"),
+    "loglik_loglin_count_1e306": (("loglik", *LOGLIN_ARGS, "--data", "huge.csv"),
+                                  "ln Gamma(y + 1) overflows a double at y + 1 = 1e+306"),
+    "loglik_nbin_r_1e306": (("loglik", *NBIN_ARGS[:-1], "1e306", "--data", "loglin.csv"),
+                            "ln Gamma(r) overflows a double at r = 1e+306"),
+    "fit_nbin_count_1e306": (("fit", "--family", "nbin", "--data", "huge61.csv"),
+                             "ln Gamma(y + 1) overflows a double at y + 1 = 1e+306"),
     "forecast_parx_nan": (("forecast", "--family", "parx", "--data", "parx.csv",
                            "--theta-file", "parx_theta.json"), "covariates must be finite"),
     "check_negative_depth": (("check", "--family", "loglin", "--omega", "0", "--a", "0.6", "-0.3",

@@ -290,6 +290,17 @@ class TestIdentifiability:
     def test_constant_feedback_poly_passes(self):
         assert check_identifiable([0.5], [0.3]).verdict == "Pass"
 
+    def test_constant_feedback_poly_skips_the_root_finder(self):
+        rng = np.random.default_rng(290)
+        b1s = [-1.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300]
+        b1s += (rng.choice((-1.0, 1.0), 194) * 10.0 ** rng.uniform(-300, 300, 194)).tolist()
+        for b1 in b1s:
+            a = rng.uniform(-2.0, 2.0, int(rng.integers(1, 4))).tolist()
+            assert np.roots([b1]).size == 0
+            # a leading zero keeps the polynomial and sends it through np.roots
+            want = check_identifiable(a, [0.0, b1]).to_dict()
+            assert check_identifiable(a, [b1]).to_dict() == want
+
     def test_common_root_fails(self):
         assert check_identifiable([0.3, 0.1], [1.0, -0.5]).verdict == "Fail"
 

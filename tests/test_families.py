@@ -119,6 +119,20 @@ class TestLogDensity:
         for y in (0, 1, 2, 17, 255, 256, 300, 1000):
             assert lnfact(y) == pytest.approx(math.lgamma(y + 1), rel=1e-13)
 
+    def test_overflowing_lgamma_is_a_domain_error(self):
+        huge = 10**306  # ln(y!) overflows a double above about 2.56e305
+        assert lnfact(int(2.5e305)) == math.lgamma(2.5e305 + 1.0)
+        with pytest.raises(DomainError, match=r"ln Gamma\(y \+ 1\) .* y \+ 1 = 1e\+306"):
+            lnfact(huge)
+        points = [(loglin_spec(), (0.0, [0.0], [0.0])), (nbin_spec(), (1.0, [0.0], [0.0], 2.0)),
+                  (parx_spec(), (1.0, [0.0], [0.0], None, [0.1, 0.1]))]
+        for spec, th in points:
+            with pytest.raises(DomainError, match=r"= 1e\+306"):
+                log_density(spec, spec.params(*th), 1.0, huge)
+        spec = nbin_spec()
+        with pytest.raises(DomainError, match=r"ln Gamma\(r\) .* r = 1e\+306"):
+            log_density(spec, spec.params(1.0, [0.0], [0.0], 1e306), 1.0, 3)
+
 
 class TestNormalization:
     def test_pmf_sums_to_one(self):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import struct
 import subprocess
 import sys
 import warnings
@@ -8,8 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from odmlab.families import CLAMP_HI, CLAMP_LO, ClampWarning, lnfact, log_density
-from odmlab.fit import FitOptions, default_box, fit_mle
+import odmlab.fit
+from odmlab.families import CLAMP_HI, CLAMP_LO, ClampWarning, lnfact, log_density, predictive
+from odmlab.fit import FitOptions, default_box, fit_mle, forecast_one_step
 from odmlab.likelihood import (
     GradientUndefinedError,
     _kernel,
@@ -23,6 +25,7 @@ from odmlab.model import (
     LOGLIN,
     NBIN,
     PARX,
+    _LAST_LOOP,
     LatentWindow,
     ObservationSeries,
     default_initial_window,
@@ -308,16 +311,61 @@ class TestPrepared:
                 assert mult.tolist() == [y[1:].count(v) for v in distinct]
 
 
+    def test_lnf_sum_is_the_fsum_of_every_term(self):
+        rng = np.random.default_rng(2025)
+        big = [0, 1, 255, 256, 257, 10**6, 2**53, 10**15, 2 * 10**17]
+        cases = [np.zeros(50), np.array([3.0]), np.full(77, 2.0**53), np.full(1000, 1e15),
+                 np.repeat(np.arange(250.0, 262.0), 41)]
+        for i in range(500):
+            n = int(rng.integers(1, 2000))
+            kind = i % 4
+            if kind == 0:
+                y = rng.poisson(rng.uniform(0.1, 60.0), n)
+            elif kind == 1:
+                y = rng.integers(0, 10**9, n, endpoint=True)
+            elif kind == 2:  # lnfact's lgamma branch, with repeats
+                y = rng.integers(257, 257 + int(rng.integers(1, 500)), n)
+            else:
+                y = rng.choice(big, n)
+            cases.append(y.astype(float))
+        for i, y in enumerate(cases):
+            spec = (loglin_spec, nbin_spec)[i % 2]()  # the log-linear prepare sorts up front
+            series = ObservationSeries(y=np.concatenate(([5.0], y)))
+            got = _prepare(spec, zero_window(spec), series).lnf_sum
+            want = math.fsum([lnfact(int(v)) for v in y.tolist()])
+            assert struct.pack("<d", got) == struct.pack("<d", want), (i, got, want)
+
+    @pytest.mark.parametrize("family,p,q", itertools.product(SPECS, (1, 2, 3), (1, 2, 3)))
+    def test_forecast_latent_is_the_paths_last(self, family, p, q):
+        rng = np.random.default_rng([p, q, len(family), 7])
+        spec = SPECS[family](p, q)
+        for n in (0, 1, 2, 60):
+            th = random_point(spec, rng)
+            series = oracles.random_series(spec, rng, n)
+            z = oracles.random_window(spec, rng)
+            prep = _prepare(spec, z, series, min_n=0)
+            x = prep.latent_path(th, n + 1, _LAST_LOOP)
+            assert struct.pack("<d", x) == struct.pack("<d", prep.latent_path(th, n + 1)[-1])
+            assert forecast_one_step(spec, th, z, series) == predictive(spec, th, x)
+
     @pytest.mark.filterwarnings("ignore::odmlab.families.ClampWarning")
-    def test_kernel_fields_are_built_on_first_use(self):
+    def test_kernel_fields_are_built_on_first_use(self, monkeypatch):
+        count_fields = {"_table", "lnf", "_mult"}
+        kernel_fields = {"matrix", "lnf_sum", "counts"}
+        made = []
+        monkeypatch.setattr(odmlab.fit, "_prepare",
+                            lambda *args, **kw: made.append(_prepare(*args, **kw)) or made[-1])
         for spec, th, z, series, obs, path in oracle_instances():
+            forecast_one_step(spec, th, z, series)
+            # the log-linear u needs the sort; the NBIN and PARX forecast sorts nothing
+            sorted_up_front = {"_table"} if spec.family == LOGLIN else set()
+            assert (count_fields | kernel_fields) & vars(made[-1]).keys() == sorted_up_front
             prep = _prepare(spec, z, series)
-            prep.latent_path(th, series.n + 1)  # the forecast's read
             _loglik_prepared(spec, th, prep, True, False)
-            assert not {"matrix", "lnf_sum", "counts"} & vars(prep).keys()
+            assert not kernel_fields & vars(prep).keys()
             _kernel(prep, pack_params(spec, th))
             want = {"matrix", "lnf_sum"} | ({"counts"} if spec.family == NBIN else set())
-            assert {"matrix", "lnf_sum", "counts"} & vars(prep).keys() == want
+            assert kernel_fields & vars(prep).keys() == want
 
 
 class TestKernel:
