@@ -106,31 +106,40 @@ class PredictiveDistribution:
         if y_max + 1 > PMF_SUPPORT_MAX:
             raise DomainError(f"pmf support of {y_max + 1} counts is above the largest "
                               f"forecast support, {PMF_SUPPORT_MAX} counts")
-        ys = range(y_max + 1)
         # Poisson(m) is the PARX law at x = m, and NB(r, m) the NBIN law at x = m / r
         family, x = (PARX, self.mean) if self.kind == "poisson" else (NBIN, self.mean / self.r)
-        terms = _log_terms(family, self.r, [x] * len(ys), ys, [lnfact(y) for y in ys])[0]
-        return np.fromiter(map(math.exp, terms.tolist()), float, len(ys))
+        terms = _log_terms(family, self.r, [x] * (y_max + 1), np.arange(y_max + 1.0))[0]
+        return np.fromiter(map(math.exp, terms.tolist()), float, y_max + 1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing term reads as inf, like a float
-def _log_terms(family: str, r, xs: list, ys, lnf, distinct=None, index=None):
+def _log_terms(family: str, r, xs: list, distinct, index=None):
     """ln g(x_k; y_k) for each term in order: (terms array, clamped, first clamped k or 0).
 
     The one copy of each family's count density; it never warns.  ``xs`` is
-    a list of latents, ``ys`` and ``lnf`` hold y_k and ln(y_k!), and ``r`` is
-    the NBIN shape.  Each transcendental is ``math``'s, called once per term
-    (numpy's differ from it by an ulp); the arithmetic around it runs in numpy
-    in the scalar formula's left-to-right order, which rounds the same, so
-    every term has the scalar formula's bits (a NaN term's sign may differ).
-    NBIN's count-only head is computed once per value of ``distinct`` and
-    gathered by ``index`` (default: once per ``ys``).  Log-linear clamps x to
+    a list of latents and ``r`` the NBIN shape.  The counts come as a table:
+    y_k is ``distinct[index[k]]`` (without ``index``, ``distinct[k]``), and
+    ln(y!) and NBIN's count-only head are computed once per value of
+    ``distinct``, then gathered.  Each transcendental is ``math``'s, called
+    once per term or per distinct count (numpy's differ from it by an ulp);
+    the arithmetic around it runs in numpy in the scalar formula's
+    left-to-right order, which rounds the same, so every term has the scalar
+    formula's bits (a NaN term's sign may differ).  Log-linear clamps x to
     [CLAMP_LO, CLAMP_HI] and lets NaN through; NBIN and PARX give -inf outside
     (0, inf), and 0 at x = 0 with y = 0.
     """
     n = len(xs)
     x = np.fromiter(xs, float, n)
-    y = np.asarray(ys, dtype=float)
+    y = np.asarray(distinct, dtype=float)
+    # each term's count-only part, once per distinct count: ln y! (subtracted),
+    # or NBIN's lgamma(r + y) - ln y! - lgamma(r) (added)
+    if family == NBIN:
+        lgamma_r = _lgamma(r, "r")
+        part = np.array([_lgamma(r + v, "r + y") - lnfact(int(v)) - lgamma_r for v in y.tolist()])
+    else:
+        part = np.array([lnfact(int(v)) for v in y.tolist()])
+    if index is not None:
+        y, part = y[index], part[index]
     if family == LOGLIN:
         out = (x < CLAMP_LO) | (x > CLAMP_HI)  # NaN passes through
         clamped = int(np.count_nonzero(out))
@@ -138,7 +147,7 @@ def _log_terms(family: str, r, xs: list, ys, lnf, distinct=None, index=None):
             x = np.clip(x, CLAMP_LO, CLAMP_HI)
             xs = x.tolist()
         e = np.fromiter(map(math.exp, xs), float, n)
-        return (-e + y * x) - lnf, clamped, int(out.argmax()) + 1 if clamped else 0
+        return (-e + y * x) - part, clamped, int(out.argmax()) + 1 if clamped else 0
     out = ~((0.0 < x) & (x < math.inf))
     masked = out.any()
     if masked:
@@ -146,13 +155,9 @@ def _log_terms(family: str, r, xs: list, ys, lnf, distinct=None, index=None):
     lx = np.fromiter(map(math.log, xs), float, n)
     if family == NBIN:
         l1 = np.fromiter(map(math.log1p, xs), float, n)
-        lgamma_r = _lgamma(r, "r")
-        # lgamma(r + y) - ln y! - lgamma(r), once per distinct count
-        values = y.tolist() if distinct is None else distinct.tolist()
-        head = np.array([_lgamma(r + v, "r + y") - lnfact(int(v)) - lgamma_r for v in values])
-        terms = ((head if index is None else head[index]) - r * l1 + y * lx) - y * l1
+        terms = (part - r * l1 + y * lx) - y * l1
     else:  # PARX
-        terms = (-x + y * lx) - lnf
+        terms = (-x + y * lx) - part
     if masked:
         terms[out] = np.where((x[out] == 0.0) & (y[out] == 0.0), 0.0, -math.inf)
     return terms, 0, 0
@@ -172,7 +177,7 @@ def log_density(spec: ModelSpec, theta: ParameterVector, x: float, y: int) -> fl
     elif x < 0.0:
         what = "NBIN latent" if spec.family == NBIN else "PARX intensity"
         raise DomainError(f"{what} must be >= 0, got {x}")
-    return _log_terms(spec.family, theta.r, [x], [y], [lnfact(y)])[0].item()
+    return _log_terms(spec.family, theta.r, [x], [y])[0].item()
 
 
 def covariate_log_density(spec: ModelSpec, xi_prev, xi_next):

@@ -106,25 +106,23 @@ class ThetaBox:
         return (np.asarray(self.lower) + np.asarray(self.upper)) / 2.0
 
 
-def _hard_bounds(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    p, q = spec.p, spec.q
+def _bounds(spec: ModelSpec) -> np.ndarray:
+    """Rows: hard lower, hard upper, default lower, default upper of each packed coordinate."""
+    inf = math.inf
     if spec.family == LOGLIN:
-        lo = [-math.inf] * (1 + p + q)
-        hi = [math.inf] * (1 + p + q)
-    elif spec.family == NBIN:
-        lo = [_POS_FLOOR] + [0.0] * (p + q) + [_POS_FLOOR]
-        hi = [math.inf] * (2 + p + q)
+        omega, coef, rest = (-inf, inf, -5.0, 5.0), (-inf, inf, -1.0, 1.0), []
     else:
-        lo = [_POS_FLOOR] + [0.0] * (p + q + spec.parx.d)
-        hi = [math.inf] * (1 + p + q + spec.parx.d)
-    return np.array(lo), np.array(hi)
+        omega, coef = (_POS_FLOOR, inf, 1e-4, 50.0), (0.0, inf, 0.0, 1.0)
+        rest = ([(_POS_FLOOR, inf, 1e-2, 50.0)] if spec.family == NBIN  # r
+                else [(0.0, inf, 0.0, 10.0)] * spec.parx.d)  # gamma
+    return np.array([omega, *[coef] * (spec.p + spec.q), *rest]).T
 
 
 def make_box(spec: ModelSpec, lower: Sequence[float], upper: Sequence[float]) -> ThetaBox:
     """Build a box for ``spec``, intersecting the family hard constraints."""
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
-    hard_lo, hard_hi = _hard_bounds(spec)
+    hard_lo, hard_hi = _bounds(spec)[:2]
     if lo.shape != hard_lo.shape:
         raise ValueError(f"box must have {hard_lo.size} coordinates, got {lo.size}")
     lo = np.maximum(lo, hard_lo)
@@ -134,17 +132,7 @@ def make_box(spec: ModelSpec, lower: Sequence[float], upper: Sequence[float]) ->
 
 def default_box(spec: ModelSpec) -> ThetaBox:
     """Generous per-family defaults bracketing the stability regions."""
-    p, q = spec.p, spec.q
-    if spec.family == LOGLIN:
-        lo = [-5.0] + [-1.0] * (p + q)
-        hi = [5.0] + [1.0] * (p + q)
-    elif spec.family == NBIN:
-        lo = [1e-4] + [0.0] * (p + q) + [1e-2]
-        hi = [50.0] + [1.0] * (p + q) + [50.0]
-    else:
-        lo = [1e-4] + [0.0] * (p + q) + [0.0] * spec.parx.d
-        hi = [50.0] + [1.0] * (p + q) + [10.0] * spec.parx.d
-    return make_box(spec, lo, hi)
+    return make_box(spec, *_bounds(spec)[2:])
 
 
 @dataclass(frozen=True)
@@ -266,6 +254,7 @@ def _data_informed_start(spec: ModelSpec, series: ObservationSeries) -> np.ndarr
     return np.array(vec, dtype=float)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a huge gradient's products read inf or NaN
 def _projected_bfgs(fg, x0, lo, hi, max_iter, max_evals):
     """Minimize over the box [lo, hi] by projected quasi-Newton search.
 

@@ -13,15 +13,17 @@ absolute on explosive log-linear totals (up to 1e96).
 A private vectorized kernel solves the system with LAPACK ``dtbtrs`` and
 gets the gradient from one transposed solve for the adjoint weights; the
 optimizer and :func:`grad_loglik` use it, and its value agrees with
-:func:`loglik` to rounding; it binds its scipy functions on its first call,
-so importing odmlab, simulating and auditing never load scipy.  Both cost
-O(n * (p + q)).  One private prepared form of (series, initial window),
-numpy arrays built with no loop over the observations and iterated in place
-by the sequential readers, feeds the sequential pass, the kernel and the
-forecast: a fit reduces once.  Each reader builds only the fields it reads:
-the forecast reads the window and the reduced observations alone, the term
-pass adds the count tables (one sort of the counts), and the kernel adds its
-design matrix and the ln y! sum over the distinct counts.
+:func:`loglik` to rounding; it takes scipy from one cached loader on its
+first call, so importing odmlab, simulating and auditing never load scipy.
+Both cost O(n * (p + q)).  One private prepared form of (series, initial
+window), built the same way for every family, feeds the sequential pass, the
+kernel and the forecast: a fit reduces once.  Each reader builds only the
+fields it reads, and takes every count from one table, the distinct counts
+and each term's index into them (one sort): the forecast reads the window
+and the reduced observations (the log-linear ones come from the table), the
+term pass gathers y and ln y! from the table, and the kernel adds its design
+matrix, the multiplicities and the exact ln y! sum, a ``DomainError`` where
+that sum overflows a double (the sequential pass's sum then reads -inf).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -39,6 +41,7 @@ from .model import (
     LOGLIN,
     NBIN,
     PARX,
+    DomainError,
     LatentWindow,
     ModelSpec,
     ObservationSeries,
@@ -54,17 +57,13 @@ from .model import (
 )
 
 
-# the kernel's scipy functions, bound once by _load_scipy: scipy takes longer
-# to import than numpy and odmlab together, and only the kernel needs it
-dtbtrs = gammaln = digamma = None
-
-
-def _load_scipy() -> None:
-    global dtbtrs, gammaln, digamma
+@cache
+def _load_scipy():
+    """The kernel's (dtbtrs, gammaln, digamma): scipy imports slower than numpy and odmlab."""
     from scipy import special
     from scipy.linalg import lapack
 
-    dtbtrs, gammaln, digamma = lapack.dtbtrs, special.gammaln, special.digamma
+    return lapack.dtbtrs, special.gammaln, special.digamma
 
 
 class GradientUndefinedError(ValueError):
@@ -97,24 +96,28 @@ class LikelihoodValue:
 class _Prepared:
     """A series and its initial window, reduced once for every parameter point.
 
-    numpy builds it with no loop over the observations.  The kernel and the
-    term pass read the arrays; the latent recursion of the sequential pass and
-    of the forecast iterates them in place through memoryviews, which yield
-    the doubles without a list copy.  The fields below hold all that the
-    forecast reads.  The rest are built on first use: the count tables
-    (``distinct``, ``index``, ``lnf``) by the term pass and the kernel, from
-    one sort of y_1..y_n that the log-linear prepare has already made for
-    ``u``; ``counts``, ``lnf_sum`` and ``matrix`` by the kernel alone.
+    Every family is prepared the same way, and numpy builds each field with no
+    loop over the observations.  The kernel and the term pass read the arrays;
+    the latent recursion of the sequential pass and of the forecast iterates
+    them in place through memoryviews, which yield the doubles without a list
+    copy.  The stored fields and ``u`` hold all that the forecast reads.  The
+    rest are built on first use from one table of the counts: one sort of
+    y_1..y_n gives ``distinct`` and ``index``, which the term pass and the
+    kernel read, and the log-linear ``u``; ``_mult``, ``lnf_sum`` and
+    ``matrix`` are the kernel's alone.
     """
 
     n: int
     family: str
-    y: np.ndarray  # y_1..y_n
-    u: np.ndarray  # reduced observations u_0..u_n; PARX: the counts
+    obs: np.ndarray  # the counts y_0..y_n
     feats: Optional[np.ndarray]  # PARX: (d, n + 1), column k is the feature row f_k
     xw0: tuple[float, ...]
     uw0: tuple[float, ...]
     covariates: Optional[np.ndarray]  # PARX: xi_0..xi_n
+
+    @cached_property
+    def y(self) -> np.ndarray:  # y_1..y_n
+        return self.obs[1:]
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -129,12 +132,17 @@ class _Prepared:
         return self._table[1]
 
     @cached_property
-    def lnf(self) -> np.ndarray:  # ln(y_k!) for k = 1..n
-        return np.array([lnfact(int(v)) for v in self.distinct.tolist()])[self.index]
+    def u(self) -> np.ndarray:  # reduced observations u_0..u_n; NBIN and PARX: the counts
+        if self.family != LOGLIN:
+            return self.obs
+        # ln(1 + y) once per distinct count, by math.log1p, which np.log1p does
+        # not match bit for bit
+        logs = np.array([math.log1p(v) for v in self.distinct.tolist()])
+        return np.concatenate(([math.log1p(self.obs[0])], logs[self.index]))
 
     @cached_property
-    def _mult(self) -> np.ndarray:  # how often each distinct count occurs
-        return np.bincount(self.index, minlength=self.distinct.size)
+    def _mult(self) -> np.ndarray:  # each distinct count's multiplicity, a float for the kernel
+        return np.bincount(self.index, minlength=self.distinct.size).astype(float)
 
     @cached_property
     def lnf_sum(self) -> float:
@@ -142,14 +150,13 @@ class _Prepared:
         # exact parts ln(v!) * 2^k, one per set bit k of m: the bits of the fsum
         # over the n terms (m * ln(v!) would round first)
         parts = []
-        for v, m in zip(self.distinct.tolist(), self._mult.tolist()):
-            term = lnfact(int(v))
-            parts += [math.ldexp(term, k) for k in range(m.bit_length()) if m >> k & 1]
-        return math.fsum(parts)
-
-    @cached_property
-    def counts(self) -> tuple[np.ndarray, np.ndarray]:  # NBIN: distinct y_1..y_n, multiplicities
-        return self.distinct, self._mult.astype(float)
+        try:
+            for v, m in zip(self.distinct.tolist(), map(int, self._mult.tolist())):
+                term = lnfact(int(v))
+                parts += [math.ldexp(term, k) for k in range(m.bit_length()) if m >> k & 1]
+            return math.fsum(parts)
+        except OverflowError:  # a part, or the sum itself, beyond the largest double
+            raise DomainError("the sum of ln y! over the counts overflows a double") from None
 
     # (n, dim): row k - 1 is d_k's coefficient on each packed parameter:
     # 1 | x_{k-i} from the initial window, else 0 | u_{k-j} | 0 (NBIN r) | f_{k-1}
@@ -177,23 +184,11 @@ def _prepare(
 ) -> _Prepared:
     validate_window(spec, z_init)
     check_series(spec, series)
-    n, fam = series.n, spec.family
-    if n < min_n:  # the forecast alone takes n = 0
+    if series.n < min_n:  # the forecast alone takes n = 0
         raise ValueError("need at least two observations (n >= 1 likelihood terms)")
-    xw0, uw0 = _scalar_window(spec, z_init)
     cov = series.covariates
-    feats = spec.parx.features(cov) if fam == PARX else None
-    y = series.y[1:]
-    if fam != LOGLIN:
-        return _Prepared(n, fam, y, series.y, feats, xw0, uw0, cov)
-    # the loglin u once per distinct count, by math.log1p, which np.log1p does
-    # not match bit for bit; the sort is kept as the count tables' own
-    vals, inv = np.unique(y, return_inverse=True)
-    logs = np.array([math.log1p(v) for v in vals.tolist()])
-    u = np.concatenate(([math.log1p(series.y[0])], logs[inv]))
-    prep = _Prepared(n, fam, y, u, feats, xw0, uw0, cov)
-    object.__setattr__(prep, "_table", (vals, inv))  # where the cached property keeps it
-    return prep
+    feats = None if spec.parx is None else spec.parx.features(cov)
+    return _Prepared(series.n, spec.family, series.y, feats, *_scalar_window(spec, z_init), cov)
 
 
 def _loglik_prepared(
@@ -205,15 +200,16 @@ def _loglik_prepared(
 ) -> LikelihoodValue:
     n = prep.n
     xs = prep.latent_path(theta, n)
-    lnf = None if spec.family == NBIN else prep.lnf  # NBIN's head reads ln y! per distinct count
-    values, clamped, first_clamped = _log_terms(spec.family, theta.r, xs, prep.y, lnf,
-                                                prep.distinct, prep.index)
+    values, clamped, first_clamped = _log_terms(spec.family, theta.r, xs, prep.distinct,
+                                                prep.index)
     if include_covariate_density:
         values += covariate_log_density(spec, prep.covariates[:-1], prep.covariates[1:])
     finite = np.isfinite(values)
     bad = None if finite.all() else int(finite.argmin()) + 1
-    # np.cumsum adds in order, so its last entry is the sequential sum
-    total = -math.inf if bad else float(np.cumsum(values)[-1])
+    # np.cumsum adds in order, so its last entry is the sequential sum; a sum
+    # that overflows reads -inf, like the loop's
+    with np.errstate(over="ignore"):
+        total = -math.inf if bad else float(np.cumsum(values)[-1])
     if clamped:
         warnings.warn(
             f"{clamped} of {n} latent values clamped to [{CLAMP_LO:.0f}, {CLAMP_HI:.0f}] "
@@ -264,8 +260,7 @@ def _kernel(prep: _Prepared, vec: np.ndarray, grad: bool = False):
     clamped log-linear latent, or a latent that is not positive and finite
     for NBIN and PARX) ``grad`` raises ``GradientUndefinedError``.
     """
-    if dtbtrs is None:
-        _load_scipy()
+    dtbtrs, gammaln, digamma = _load_scipy()
     n, p, fam, y = prep.n, len(prep.xw0), prep.family, prep.y
     ab = np.empty((n, p + 1)).T  # Fortran-ordered band: row i holds -a_i
     ab[1:] = -vec[1 : 1 + p, None]
@@ -276,7 +271,7 @@ def _kernel(prep: _Prepared, vec: np.ndarray, grad: bool = False):
         total = y.dot(xc) - mean.sum()
     elif fam == NBIN:
         r = vec[-1]
-        vals, mult = prep.counts
+        vals, mult = prep.distinct, prep._mult
         l1 = np.log1p(x)
         total = mult.dot(gammaln(r + vals)) - n * gammaln(r) - r * l1.sum() + y.dot(np.log(x) - l1)
     else:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -366,9 +367,12 @@ def check_series(spec: ModelSpec, series: ObservationSeries) -> None:
 
 
 def check_count(y) -> None:
-    """Raise ``DomainError`` unless ``y`` is a nonnegative integer value."""
+    """Raise ``DomainError`` unless ``y`` is a nonnegative integer value with a float64 form."""
     if not 0 <= y < math.inf or y % 1:  # NaN and inf fail before the %
         raise DomainError(f"counts must be nonnegative integers, got {y!r}")
+    if y > sys.float_info.max:  # compared exactly: a Python int this large has no float
+        raise DomainError("counts must be nonnegative integers with a float64 form, got one "
+                          f"above the largest double, {sys.float_info.max:.6g}")
 
 
 def reduce(spec: ModelSpec, y):

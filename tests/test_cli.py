@@ -134,6 +134,9 @@ ERROR_FILES = {
     "huge.csv": f"t,y\n0,3\n1,1\n2,{10**306}\n3,0\n",
     "huge61.csv": "t,y\n" + "".join(f"{t},{(3, 1, 4, 0, 2)[t % 5] if t < 60 else 10**306}\n"
                                      for t in range(61)),
+    # each ln y! is a double, their sum is not
+    "over62.csv": "t,y\n" + "".join(f"{t},{(3, 1, 4, 0, 2)[t % 5] if t < 60 else 2 * 10**305}\n"
+                                     for t in range(62)),
     "parx.csv": "t,y,xi_1\n0,3,0.5\n1,1,nan\n2,4,0.1\n3,0,0.2\n",
     "box.json": [1, 2],
     "theta_list.json": [1],
@@ -204,6 +207,10 @@ ERROR_TABLE = {
                             "ln Gamma(r) overflows a double at r = 1e+306"),
     "fit_nbin_count_1e306": (("fit", "--family", "nbin", "--data", "huge61.csv"),
                              "ln Gamma(y + 1) overflows a double at y + 1 = 1e+306"),
+    "fit_loglin_lnf_sum_overflow": (("fit", "--family", "loglin", "--data", "over62.csv"),
+                                    "the sum of ln y! over the counts overflows a double"),
+    "fit_nbin_lnf_sum_overflow": (("fit", "--family", "nbin", "--data", "over62.csv"),
+                                  "the sum of ln y! over the counts overflows a double"),
     "forecast_parx_nan": (("forecast", "--family", "parx", "--data", "parx.csv",
                            "--theta-file", "parx_theta.json"), "covariates must be finite"),
     "check_negative_depth": (("check", "--family", "loglin", "--omega", "0", "--a", "0.6", "-0.3",
@@ -302,6 +309,16 @@ class TestCleanExits:
 
 
 class TestFitAndLoglik:
+    def test_loglik_with_an_overflowing_sum_is_quiet(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "over62.csv").write_text(ERROR_FILES["over62.csv"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["loglik", *LOGLIN_ARGS, "--data", "over62.csv"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["total"] == -math.inf
+
     def test_pinned_fit_matches_closed_form(self, tmp_path):
         data = simulate_csv(tmp_path, n=400, seed=11, theta=("0.7", "0", "0"))
         out = str(tmp_path / "fit.json")

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odmlab.conditions import check_model
 from odmlab.fit import (
@@ -18,17 +20,19 @@ from odmlab.fit import (
     forecast_one_step,
     make_box,
 )
-from odmlab.likelihood import GradientUndefinedError, loglik
+from odmlab.likelihood import GradientUndefinedError, grad_loglik, loglik
 from odmlab.model import (
     LatentWindow,
     ObservationSeries,
+    constant_window,
     default_initial_window,
     iterate_latent,
     pack_params,
+    reduce,
     unpack_params,
 )
-from odmlab.families import ClampWarning, predictive
-from odmlab.simulate import SimConfig, simulate_series
+from odmlab.families import ClampWarning, log_density, predictive
+from odmlab.simulate import LatentExplosionError, SimConfig, simulate_series
 
 import oracles
 from test_model import loglin_spec, nbin_spec, parx_spec
@@ -197,6 +201,13 @@ class TestFitMle:
         res = fit_mle(spec, sim.series, box=box)
         closed = math.log(np.mean(sim.series.y[1:]))
         assert abs(res.theta_hat.omega - closed) < 1e-6
+
+    @pytest.mark.filterwarnings("ignore::odmlab.families.ClampWarning")
+    def test_a_huge_count_leaks_no_numpy_warning(self):
+        # its gradient, about 1e305, overflows the search's dot products
+        series = ObservationSeries(y=[(3, 1, 4, 0, 2)[t % 5] for t in range(60)] + [2 * 10**305])
+        res = fit_mle(loglin_spec(), series)  # RuntimeWarning is an error in the suite
+        assert math.isfinite(res.loglik.total)
 
     def test_true_theta_never_beats_fit(self):
         spec = loglin_spec()
@@ -424,3 +435,40 @@ class TestPinnedFits:
         calls.clear()
         _pinned_fit(*_pinned_fit_cases()["loglin22"])
         assert len(calls) == 1  # without the check, only the winner
+
+
+# the lnfact table's edge, the largest exact integer, sums of ln y! that
+# overflow, a ln y! that overflows, and an integer with no float64 form
+EDGE_COUNTS = (255, 256, 257, 2**53, 2 * 10**305, 10**306, 10**400)
+
+
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(st.booleans(), st.lists(st.integers(0, 20) | st.sampled_from(EDGE_COUNTS),
+                               min_size=1, max_size=40))
+def test_count_edges_end_in_a_value_or_a_library_error(nbin, ys):
+    """Every public call on a series of edge counts returns, or raises ValueError,
+    FitFailureError or LatentExplosionError, and warns of nothing but clamping."""
+    spec, theta = ((nbin_spec(2, 1), (1.0, [0.3, 0.1], [0.2], 2.0)) if nbin
+                   else (loglin_spec(), (0.1, [0.5], [0.3])))
+    theta = spec.params(*theta)
+    z = constant_window(spec, 1.0, 1)
+
+    def outcome(call):  # the call's value, or None where it raised an error of the library's
+        try:
+            return call()
+        except (ValueError, FitFailureError, LatentExplosionError):
+            return None
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for y in ys:
+            outcome(lambda: log_density(spec, theta, 1.0, y))
+            outcome(lambda: reduce(spec, y))
+        outcome(lambda: iterate_latent(spec, theta, z, ys))
+        series = outcome(lambda: ObservationSeries(y=ys))
+        if series is not None:
+            for call in (loglik, grad_loglik, forecast_one_step):
+                outcome(lambda: call(spec, theta, z, series))
+            opts = FitOptions(starts=1, max_evals=20, guard_override=True)
+            outcome(lambda: fit_mle(spec, series, opts=opts))
+    assert [w for w in caught if not issubclass(w.category, ClampWarning)] == []

@@ -300,15 +300,14 @@ class TestPrepared:
             _, us, feats = oracles.attach_series(spec, z, series)
             assert prep.u.tolist() == [us[t] for t in range(n + 1)]
             assert prep.y.tolist() == [float(v) for v in y[1:]]
-            assert prep.lnf.tolist() == [lnfact(int(v)) for v in y[1:]]
+            # the count table: every y_k, and so its ln y!, gathers from it
+            distinct = sorted(set(y[1:]))
+            assert prep.distinct.tolist() == distinct
+            assert prep.distinct[prep.index].tolist() == [float(v) for v in y[1:]]
+            assert prep._mult.tolist() == [y[1:].count(v) for v in distinct]
             if spec.family == PARX:
                 # (d, n + 1): column t is the feature row f_t
                 assert prep.feats.T.tolist() == [list(feats[t]) for t in range(n + 1)]
-            if spec.family == NBIN:
-                vals, mult = prep.counts
-                distinct = sorted(set(y[1:]))
-                assert vals.tolist() == distinct
-                assert mult.tolist() == [y[1:].count(v) for v in distinct]
 
 
     def test_lnf_sum_is_the_fsum_of_every_term(self):
@@ -350,8 +349,8 @@ class TestPrepared:
 
     @pytest.mark.filterwarnings("ignore::odmlab.families.ClampWarning")
     def test_kernel_fields_are_built_on_first_use(self, monkeypatch):
-        count_fields = {"_table", "lnf", "_mult"}
-        kernel_fields = {"matrix", "lnf_sum", "counts"}
+        count_fields = {"_table"}
+        kernel_fields = {"matrix", "lnf_sum", "_mult"}
         made = []
         monkeypatch.setattr(odmlab.fit, "_prepare",
                             lambda *args, **kw: made.append(_prepare(*args, **kw)) or made[-1])
@@ -364,8 +363,7 @@ class TestPrepared:
             _loglik_prepared(spec, th, prep, True, False)
             assert not kernel_fields & vars(prep).keys()
             _kernel(prep, pack_params(spec, th))
-            want = {"matrix", "lnf_sum"} | ({"counts"} if spec.family == NBIN else set())
-            assert kernel_fields & vars(prep).keys() == want
+            assert kernel_fields & vars(prep).keys() == kernel_fields
 
 
 class TestKernel:

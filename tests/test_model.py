@@ -81,7 +81,8 @@ class TestReduce:
         assert u == (3.0, (2.0, 2.25), (-2.0, 1.5))
 
     @pytest.mark.parametrize("family", [LOGLIN, NBIN, PARX])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.5, -1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.5, -1, 10**400],
+                             ids=["nan", "inf", "-inf", "2.5", "-1", "10^400"])
     def test_non_counts_rejected(self, family, bad):
         # the rule ObservationSeries and log_density apply, on every path
         # that reduces a raw observation
@@ -92,8 +93,9 @@ class TestReduce:
         ok, y = ((1, (0.5, -0.5)), (bad, (0.5, -0.5))) if family == PARX else (1, bad)
         for call in (lambda: reduce(spec, y), lambda: embed_step(spec, th, z, y),
                      lambda: iterate_latent(spec, th, z, [ok, y, ok])):
-            with pytest.raises(DomainError, match="counts must be nonnegative integers"):
+            with pytest.raises(DomainError, match="counts must be nonnegative integers") as err:
                 call()
+            assert len(str(err.value)) < 120  # not every digit of 10^400
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_parx_non_finite_covariate_rejected(self, bad):
