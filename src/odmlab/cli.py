@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from itertools import repeat
+from typing import Optional
 
 from .conditions import check_identifiable, check_model
 from .experiment import ExperimentConfig, run_mc_consistency
@@ -27,11 +28,9 @@ from .fit import (
     forecast_one_step,
     make_box,
 )
+from .families import _FAMILIES, FAMILIES
 from .model import (
     FEATURE_KINDS,
-    LOGLIN,
-    NBIN,
-    PARX,
     ModelOrder,
     ModelSpec,
     ObservationSeries,
@@ -66,7 +65,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _add_family_flags(parser: argparse.ArgumentParser, with_theta: bool = True) -> None:
-    parser.add_argument("--family", required=True, choices=[LOGLIN, NBIN, PARX])
+    parser.add_argument("--family", required=True, choices=FAMILIES)
     if with_theta:
         parser.add_argument("--omega", type=float)
         parser.add_argument("--a", type=float, nargs="+", default=None)
@@ -77,50 +76,37 @@ def _add_family_flags(parser: argparse.ArgumentParser, with_theta: bool = True) 
         parser.add_argument("--p", type=int, default=1)
         parser.add_argument("--q", type=int, default=1)
     parser.add_argument("--xi-dim", type=int, default=1, help="PARX covariate dimension")
-    parser.add_argument(
-        "--feature",
-        nargs="+",
-        default=["abs"],
-        choices=FEATURE_KINDS,
-        help="PARX feature kinds (feature j reads covariate j)",
-    )
-    parser.add_argument(
-        "--aleph",
-        type=float,
-        nargs="+",
-        default=None,
-        help="PARX VAR(1) matrix, row-major (default 0.5 * identity)",
-    )
+    parser.add_argument("--feature", nargs="+", default=["abs"], choices=FEATURE_KINDS,
+                        help="PARX feature kinds (feature j reads covariate j)")
+    parser.add_argument("--aleph", type=float, nargs="+", default=None,
+                        help="PARX VAR(1) matrix, row-major (default 0.5 * identity)")
     parser.add_argument("--sigma", type=float, default=1.0, help="PARX noise scale")
 
 
-def _build_parx_config(args) -> ParxConfig:
-    r_dim = args.xi_dim
-    if args.aleph is None:
-        mat = tuple(
-            tuple(0.5 if i == j else 0.0 for j in range(r_dim)) for i in range(r_dim)
-        )
-    else:
-        if len(args.aleph) != r_dim * r_dim:
-            raise CliError(f"--aleph needs {r_dim * r_dim} entries for xi-dim {r_dim}")
-        mat = tuple(
-            tuple(args.aleph[i * r_dim + j] for j in range(r_dim)) for i in range(r_dim)
-        )
-    return ParxConfig(r_dim=r_dim, feature_kinds=tuple(args.feature), aleph=mat, sigma=args.sigma)
+def _build_parx_config(args) -> Optional[ParxConfig]:
+    """The covariate block from the flags, for a family that takes one; else None."""
+    if not _FAMILIES[args.family].covariates:
+        return None
+    r_dim, flat = args.xi_dim, args.aleph
+    if flat is None:  # 0.5 * identity
+        flat = [0.5 if i == j else 0.0 for i in range(r_dim) for j in range(r_dim)]
+    elif len(flat) != r_dim * r_dim:
+        raise CliError(f"--aleph needs {r_dim * r_dim} entries for xi-dim {r_dim}")
+    mat = tuple(tuple(flat[i * r_dim : (i + 1) * r_dim]) for i in range(r_dim))
+    return ParxConfig(r_dim=r_dim, feature_kinds=args.feature, aleph=mat, sigma=args.sigma)
 
 
 def _build_spec_theta(args) -> tuple[ModelSpec, ParameterVector]:
     if args.omega is None or args.a is None or args.b is None:
         raise CliError("--omega, --a and --b are required")
     order = ModelOrder(p=len(args.a), q=len(args.b))
-    parx = _build_parx_config(args) if args.family == PARX else None
-    spec = ModelSpec(family=args.family, order=order, parx=parx)
+    spec = ModelSpec(family=args.family, order=order, parx=_build_parx_config(args))
     return spec, spec.params(args.omega, args.a, args.b, r=args.r, gamma=args.gamma)
 
 
 def _build_spec_orders(args) -> ModelSpec:
-    parx = _build_parx_config(args) if args.family == PARX else None
-    return ModelSpec(family=args.family, order=ModelOrder(p=args.p, q=args.q), parx=parx)
+    return ModelSpec(family=args.family, order=ModelOrder(p=args.p, q=args.q),
+                     parx=_build_parx_config(args))
 
 
 # --- CSV -----------------------------------------------------------------------
@@ -151,8 +137,7 @@ def series_from_csv(path: str, family: str) -> ObservationSeries:
     for j, name in enumerate(xi_cols, start=1):
         if name != f"xi_{j}":
             raise CliError(f"{path}: line 1: covariate columns must be xi_1..xi_r")
-    ys = []
-    xis = []
+    ys, xis = [], []
     for lineno, line in enumerate(raw[1:], start=2):
         if not line.strip():
             continue
@@ -175,7 +160,7 @@ def series_from_csv(path: str, family: str) -> ObservationSeries:
         xis.append(row)
     if not ys:
         raise CliError(f"{path}: no data rows")
-    if family == PARX:
+    if _FAMILIES[family].covariates:
         if not xi_cols:
             raise CliError(f"{path}: PARX data needs xi_1..xi_r columns")
         return ObservationSeries(y=ys, covariates=xis)
@@ -371,8 +356,8 @@ def cmd_mc_consistency(args) -> int:
         sigma=raw.get("sigma", 1.0),
         **{key: theta_raw.get(key) for key in ("omega", "a", "b", "r", "gamma")},
     )
-    if ns.family not in (LOGLIN, NBIN, PARX):
-        raise CliError(f"config family must be one of {(LOGLIN, NBIN, PARX)}")
+    if ns.family not in FAMILIES:  # a tuple: an unhashable family is not one of them
+        raise CliError(f"config family must be one of {FAMILIES}")
     try:
         spec, theta_star = _build_spec_theta(ns)
     except TypeError as exc:  # e.g. a scalar where a list belongs

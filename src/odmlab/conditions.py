@@ -35,14 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (
-    LOGLIN,
-    NBIN,
-    ModelSpec,
-    ParameterVector,
-    _integer,
-    validate_params,
-)
+from .families import _FAMILIES
+from .model import ModelSpec, ParameterVector, _integer, validate_params
 
 TOL_RADIUS = 1e-9
 TOL_ROOT = 1e-8
@@ -246,32 +240,25 @@ def check_loglin(
     )
 
 
-def _balance_report(lhs: float) -> ConditionReport:
-    ok = lhs < 1.0
-    checks = (ConditionCheck("coefficient_balance", lhs, 1.0, ok),)
-    return ConditionReport(
-        verdict="Pass" if ok else "Fail", checks=checks, extras={"lhs": lhs}
-    )
-
-
 def check_nbin(spec: ModelSpec, theta: ParameterVector) -> ConditionReport:
     """Sharp NBIN moment balance: sum(a) + r * sum(b) < 1."""
-    validate_params(spec, theta)
-    return _balance_report(sum(theta.a) + theta.r * sum(theta.b))
+    return check_model(spec, theta)
 
 
 def check_parx(spec: ModelSpec, theta: ParameterVector) -> ConditionReport:
     """PARX drift condition: sum(a) + sum(b) < 1."""
-    validate_params(spec, theta)
-    return _balance_report(sum(theta.a) + sum(theta.b))
+    return check_model(spec, theta)
 
 
 def check_model(spec: ModelSpec, theta: ParameterVector, **kwargs) -> ConditionReport:
-    if spec.family == LOGLIN:
+    """The family's audit: its sharp balance (``kwargs`` unused), or :func:`check_loglin`."""
+    balance = _FAMILIES[spec.family].balance
+    if balance is None:
         return check_loglin(spec, theta, **kwargs)
-    if spec.family == NBIN:
-        return check_nbin(spec, theta)
-    return check_parx(spec, theta)
+    validate_params(spec, theta)
+    lhs = balance(theta)
+    checks = (ConditionCheck("coefficient_balance", lhs, 1.0, lhs < 1.0),)
+    return ConditionReport("Pass" if lhs < 1.0 else "Fail", checks, extras={"lhs": lhs})
 
 
 def check_identifiable(a, b) -> ConditionReport:

@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .conditions import check_identifiable
+from .families import _load_scipy
 from .fit import FitOptions, ThetaBox, default_box, fit_mle
-from .likelihood import _load_scipy
 from .model import (
     ModelSpec,
     ObservationSeries,

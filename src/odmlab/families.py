@@ -1,28 +1,38 @@
-"""Observation kernels: densities, samplers, and predictive laws.
+"""The family table: each family written once, as one private record.
 
-The latent value parameterizes the count distribution: Poisson with mean e^x
-(log-linear), negative binomial with shape r and mean r*x (NBIN), Poisson
-with mean x (PARX).  PARX additionally carries an autonomous Gaussian VAR(1)
-covariate kernel whose density does not depend on the model parameters, so
-it is excluded from the fitting objective by default and can be re-added for
-total log-likelihood reporting.  Each family's count log-density is written
-once, in the private term pass ``_log_terms``: the likelihood's sequential
-pass, :func:`log_density` and the forecast pmf all call it.  It calls
-``math``'s transcendentals once per term and does the arithmetic around them
-on arrays in the scalar formula's order, so each term has the bits of the
-scalar formula on Python floats (a NaN term's sign bit is not kept).
+A model is an affine latent recursion plus an observation kernel, and the
+families differ only in their :class:`_Family` records, which every module
+reads instead of testing a family's name:
+
+* ``loglin``: u = ln(1 + y), a real latent, counts Poisson(e^x), x clamped;
+* ``nbin``: u = y, a latent >= 0, counts negative binomial, shape r, mean r*x;
+* ``parx``: u = y, an intensity >= 0, counts Poisson(x), and covariates from an
+  autonomous Gaussian VAR(1), whose density is parameter-free: a fit leaves it out.
+
+Each count log-density is written once, as a head that reads the count and a
+part that reads the latent, run by the private term pass ``_log_terms``.  It
+calls ``math``'s transcendentals once per term and does the arithmetic around
+them on arrays in the scalar formula's order, so each term has the scalar
+formula's bits on Python floats (a NaN term's sign bit is not kept).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from functools import cache
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .model import LOGLIN, NBIN, PARX, DomainError, ModelSpec, ParameterVector, check_count
+if TYPE_CHECKING:
+    from .model import ModelSpec, ParameterVector
+
+LOGLIN = "loglin"
+NBIN = "nbin"
+PARX = "parx"
 
 # Poisson log-density clamps the latent here before exponentiating; outside
 # this range e^x would under/overflow a double.
@@ -31,6 +41,11 @@ CLAMP_HI = 700.0
 # the forecast's pmf covers at most this many counts, and its mean at most this
 # many: scipy's quantile and the pmf both cost time or memory linear in the mean
 PMF_SUPPORT_MAX = 10**6
+_POS_FLOOR = 1e-8  # the fit's hard floor for strictly positive coordinates
+# the log-linear simulator's top: the largest double whose exp, the Poisson mean, is <= 4e18
+_LOGLIN_HI = math.log(4.0e18)
+while math.exp(_LOGLIN_HI) > 4.0e18:
+    _LOGLIN_HI = math.nextafter(_LOGLIN_HI, -math.inf)
 
 _LNFACT_TABLE_SIZE = 257
 _lnfact_table = [0.0] * _LNFACT_TABLE_SIZE
@@ -38,8 +53,30 @@ for _k in range(2, _LNFACT_TABLE_SIZE):
     _lnfact_table[_k] = _lnfact_table[_k - 1] + math.log(_k)
 
 
+class DomainError(ValueError):
+    """An argument is outside the family's domain."""
+
+
 class ClampWarning(RuntimeWarning):
     """The latent was clamped before exponentiation."""
+
+
+@cache
+def _load_scipy():
+    """The kernel's (dtbtrs, gammaln, digamma): scipy imports slower than numpy and odmlab."""
+    from scipy import special
+    from scipy.linalg import lapack
+
+    return lapack.dtbtrs, special.gammaln, special.digamma
+
+
+def check_count(y) -> None:
+    """Raise ``DomainError`` unless ``y`` is a nonnegative integer value with a float64 form."""
+    if not 0 <= y < math.inf or y % 1:  # NaN and inf fail before the %
+        raise DomainError(f"counts must be nonnegative integers, got {y!r}")
+    if y > sys.float_info.max:  # compared exactly: a Python int this large has no float
+        raise DomainError("counts must be nonnegative integers with a float64 form, got one "
+                          f"above the largest double, {sys.float_info.max:.6g}")
 
 
 def _lgamma(v: float, what: str) -> float:
@@ -55,17 +92,6 @@ def lnfact(y: int) -> float:
     if y < _LNFACT_TABLE_SIZE:
         return _lnfact_table[y]
     return _lgamma(y + 1.0, "y + 1")
-
-
-def _clamped(x: float) -> float:
-    if CLAMP_LO <= x <= CLAMP_HI or math.isnan(x):
-        return x
-    warnings.warn(
-        f"latent {x:.6g} clamped to [{CLAMP_LO:.0f}, {CLAMP_HI:.0f}] before exponentiation",
-        ClampWarning,
-        stacklevel=3,
-    )
-    return CLAMP_LO if x < CLAMP_LO else CLAMP_HI
 
 
 @dataclass(frozen=True)
@@ -112,72 +138,194 @@ class PredictiveDistribution:
         return np.fromiter(map(math.exp, terms.tolist()), float, y_max + 1)
 
 
+@dataclass(frozen=True)
+class _Family:
+    """What one family decides.  Coordinates pack as omega, a, b, then r, then gamma."""
+
+    title: str  # the family in messages
+    latent: str  # the latent in a negative-latent message
+    log1p: bool  # the reduction: u(y) = ln(1 + y), else u(y) = y
+    positive: bool  # latent, window, omega, a, b >= 0, -inf outside (0, inf); else clamped
+    shape: bool  # the density has a shape r > 0
+    covariates: bool  # takes a ParxConfig: the latent is (intensity, xi), gamma >= 0
+    bounds: tuple  # fit._bounds rows of omega, of each of a and b, of each extra coordinate
+    safe_range: tuple  # the latents simulate_series draws at
+    sampler: Callable  # (theta, rng) -> the count draw at latent x
+    predictive: Callable  # (theta, x in the domain) -> PredictiveDistribution
+    log_head: Callable  # (r, counts) -> each count's count-only part of ln g
+    log_latent: Callable  # (x, xs, y, head, r) -> the terms at latents x (list xs) in the domain
+    kernel: Callable  # (prep, x, vec) -> (total but ln y!, thunk of (d ln g / dx, r-gradient))
+    start: Callable  # (spec, mean count, counts) -> the data-informed packed start
+    balance: Optional[Callable]  # theta -> the sharp stability sum (< 1); None: the certificate
+
+    def intensity(self, x):
+        """The latent the count law reads: a PARX pair's intensity, or ``x``."""
+        return x[0] if self.covariates and isinstance(x, tuple) else x
+
+
+def _terms(f, xs) -> np.ndarray:
+    return np.fromiter(map(f, xs), float, len(xs))
+
+
+def _lnfact_head(r, counts) -> np.ndarray:  # ln y!, which the Poisson terms subtract
+    return np.array([lnfact(int(v)) for v in counts])
+
+
+def _nbin_head(r, counts) -> np.ndarray:  # ln Gamma(r + y) - ln y! - ln Gamma(r), added
+    lgamma_r = _lgamma(r, "r")
+    return np.array([_lgamma(r + v, "r + y") - lnfact(int(v)) - lgamma_r for v in counts])
+
+
+def _nbin_latent(x, xs, y, head, r):
+    l1 = _terms(math.log1p, xs)
+    return (head - r * l1 + y * _terms(math.log, xs)) - y * l1
+
+
+def _loglin_kernel(prep, x, vec):
+    xc = np.minimum(np.maximum(x, CLAMP_LO), CLAMP_HI)
+    mean = np.exp(xc)
+    return prep.y.dot(xc) - mean.sum(), lambda: (prep.y - mean, None)
+
+
+def _nbin_kernel(prep, x, vec):
+    _, gammaln, digamma = _load_scipy()
+    n, y, r, vals, mult = prep.n, prep.y, vec[-1], prep.distinct, prep._mult
+    l1 = np.log1p(x)
+    total = mult.dot(gammaln(r + vals)) - n * gammaln(r) - r * l1.sum() + y.dot(np.log(x) - l1)
+    return total, lambda: (y / x - (r + y) / (1.0 + x),
+                           mult.dot(digamma(r + vals)) - n * digamma(r) - l1.sum())
+
+
+def _loglin_start(spec, ybar, y) -> list:
+    a, b = [0.2 / spec.p] * spec.p, [0.2 / spec.q] * spec.q
+    return [math.log1p(ybar) * (1.0 - sum(a) - sum(b)), *a, *b]
+
+
+def _nbin_start(spec, ybar, y) -> list:
+    p, q = spec.p, spec.q
+    with np.errstate(over="ignore"):  # counts above about 1e154: the variance reads inf
+        yvar = float(np.var(y))
+    xbar = max(yvar / max(ybar, 1e-6) - 1.0, 0.1)
+    r0 = max(ybar / xbar, 1e-2)
+    a = [0.2 / p] * p
+    b = [0.2 / (q * max(r0, 1.0))] * q
+    return [max(xbar * (1.0 - sum(a) - r0 * sum(b)), 1e-3), *a, *b, r0]
+
+
+def _parx_start(spec, ybar, y) -> list:
+    a, b = [0.2 / spec.p] * spec.p, [0.2 / spec.q] * spec.q
+    return [max(ybar * (1.0 - sum(a) - sum(b)), 1e-3), *a, *b, *[0.1] * spec.parx.d]
+
+
+def _loglin_sampler(theta, rng):
+    poisson, exp = rng.poisson, math.exp
+    return lambda x: int(poisson(exp(x)))
+
+
+def _nbin_sampler(theta, rng):  # the gamma-Poisson mixture: any real shape, no gamma at 0
+    poisson, gamma, r = rng.poisson, rng.gamma, theta.r
+    return lambda x: int(poisson(gamma(r, x) if x > 0.0 else 0.0))
+
+
+def _poisson_sampler(theta, rng):
+    poisson = rng.poisson
+    return lambda x: int(poisson(x))
+
+
+_INF = math.inf
+_POSITIVE_BOUNDS = ((_POS_FLOOR, _INF, 1e-4, 50.0), (0.0, _INF, 0.0, 1.0))
+_FAMILIES = {
+    LOGLIN: _Family(
+        "log-linear", "log-linear latent", log1p=True, positive=False, shape=False,
+        covariates=False, bounds=((-_INF, _INF, -5.0, 5.0), (-_INF, _INF, -1.0, 1.0), None),
+        safe_range=(-1e3, _LOGLIN_HI), sampler=_loglin_sampler,
+        predictive=lambda theta, x: PredictiveDistribution("poisson", math.exp(x)),
+        log_head=_lnfact_head,
+        log_latent=lambda x, xs, y, head, r: (-_terms(math.exp, xs) + y * x) - head,
+        kernel=_loglin_kernel, start=_loglin_start, balance=None,
+    ),
+    NBIN: _Family(
+        "NBIN", "NBIN latent", log1p=False, positive=True, shape=True, covariates=False,
+        bounds=(*_POSITIVE_BOUNDS, (_POS_FLOOR, _INF, 1e-2, 50.0)),
+        safe_range=(0.0, 1e12), sampler=_nbin_sampler,
+        predictive=lambda theta, x: PredictiveDistribution("negbinomial", theta.r * x, theta.r),
+        log_head=_nbin_head, log_latent=_nbin_latent, kernel=_nbin_kernel, start=_nbin_start,
+        balance=lambda theta: sum(theta.a) + theta.r * sum(theta.b),
+    ),
+    PARX: _Family(
+        "PARX", "PARX intensity", log1p=False, positive=True, shape=False, covariates=True,
+        bounds=(*_POSITIVE_BOUNDS, (0.0, _INF, 0.0, 10.0)),
+        safe_range=(0.0, 1e12), sampler=_poisson_sampler,
+        predictive=lambda theta, x: PredictiveDistribution("poisson", float(x)),
+        log_head=_lnfact_head,
+        log_latent=lambda x, xs, y, head, r: (-x + y * _terms(math.log, xs)) - head,
+        kernel=lambda prep, x, vec: (prep.y.dot(np.log(x)) - x.sum(),
+                                     lambda: (prep.y / x - 1.0, None)),
+        start=_parx_start,
+        balance=lambda theta: sum(theta.a) + sum(theta.b),
+    ),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing term reads as inf, like a float
 def _log_terms(family: str, r, xs: list, distinct, index=None):
     """ln g(x_k; y_k) for each term in order: (terms array, clamped, first clamped k or 0).
 
-    The one copy of each family's count density; it never warns.  ``xs`` is
-    a list of latents and ``r`` the NBIN shape.  The counts come as a table:
+    It never warns.  ``xs`` is a list of latents and ``r`` the NBIN shape.
     y_k is ``distinct[index[k]]`` (without ``index``, ``distinct[k]``), and
-    ln(y!) and NBIN's count-only head are computed once per value of
-    ``distinct``, then gathered.  Each transcendental is ``math``'s, called
-    once per term or per distinct count (numpy's differ from it by an ulp);
-    the arithmetic around it runs in numpy in the scalar formula's
-    left-to-right order, which rounds the same, so every term has the scalar
-    formula's bits (a NaN term's sign may differ).  Log-linear clamps x to
-    [CLAMP_LO, CLAMP_HI] and lets NaN through; NBIN and PARX give -inf outside
-    (0, inf), and 0 at x = 0 with y = 0.
+    the count-only head is computed once per distinct count, then gathered.
+    A real latent is clamped to [CLAMP_LO, CLAMP_HI] and NaN passes through;
+    a latent >= 0 gives -inf outside (0, inf), and 0 at x = 0 with y = 0.
     """
-    n = len(xs)
-    x = np.fromiter(xs, float, n)
+    fam = _FAMILIES[family]
+    x = np.fromiter(xs, float, len(xs))
     y = np.asarray(distinct, dtype=float)
-    # each term's count-only part, once per distinct count: ln y! (subtracted),
-    # or NBIN's lgamma(r + y) - ln y! - lgamma(r) (added)
-    if family == NBIN:
-        lgamma_r = _lgamma(r, "r")
-        part = np.array([_lgamma(r + v, "r + y") - lnfact(int(v)) - lgamma_r for v in y.tolist()])
-    else:
-        part = np.array([lnfact(int(v)) for v in y.tolist()])
+    head = fam.log_head(r, y.tolist())
     if index is not None:
-        y, part = y[index], part[index]
-    if family == LOGLIN:
+        y, head = y[index], head[index]
+    if not fam.positive:
         out = (x < CLAMP_LO) | (x > CLAMP_HI)  # NaN passes through
         clamped = int(np.count_nonzero(out))
         if clamped:
             x = np.clip(x, CLAMP_LO, CLAMP_HI)
             xs = x.tolist()
-        e = np.fromiter(map(math.exp, xs), float, n)
-        return (-e + y * x) - part, clamped, int(out.argmax()) + 1 if clamped else 0
+        return fam.log_latent(x, xs, y, head, r), clamped, int(out.argmax()) + 1 if clamped else 0
     out = ~((0.0 < x) & (x < math.inf))
     masked = out.any()
     if masked:
         xs = np.where(out, 1.0, x).tolist()  # math.log raises at 0
-    lx = np.fromiter(map(math.log, xs), float, n)
-    if family == NBIN:
-        l1 = np.fromiter(map(math.log1p, xs), float, n)
-        terms = (part - r * l1 + y * lx) - y * l1
-    else:  # PARX
-        terms = (-x + y * lx) - part
+    terms = fam.log_latent(x, xs, y, head, r)
     if masked:
         terms[out] = np.where((x[out] == 0.0) & (y[out] == 0.0), 0.0, -math.inf)
     return terms, 0, 0
 
 
-def log_density(spec: ModelSpec, theta: ParameterVector, x: float, y: int) -> float:
+def _in_domain(fam: _Family, x):
+    """``x``'s intensity, checked >= 0, or clamped to [CLAMP_LO, CLAMP_HI] with a warning."""
+    x = fam.intensity(x)
+    if fam.positive:
+        if x < 0.0:
+            raise DomainError(f"{fam.latent} must be >= 0, got {x}")
+    elif not (CLAMP_LO <= x <= CLAMP_HI or math.isnan(x)):
+        warnings.warn(f"latent {x:.6g} clamped to [{CLAMP_LO:.0f}, {CLAMP_HI:.0f}] before "
+                      "exponentiation", ClampWarning, stacklevel=3)
+        return CLAMP_LO if x < CLAMP_LO else CLAMP_HI
+    return x
+
+
+def log_density(spec: ModelSpec, theta: ParameterVector, x, y: int) -> float:
     """ln g(x; y), the conditional count log-density at latent ``x``.
 
-    For PARX this is the Poisson factor only; the covariate transition
-    density is parameter-free (see :func:`covariate_log_density`).  NBIN and
-    PARX at x = 0 with y > 0, or at x = inf or NaN, return -inf.
+    For PARX, ``x`` is the intensity or the pair (intensity, xi) that
+    :func:`~odmlab.model.link_step` returns, and the covariate density is
+    left out (see :func:`covariate_log_density`).  NBIN and PARX at x = 0
+    with y > 0, or at x = inf or NaN, return -inf.
     """
     check_count(y)
     y = int(y)
-    if spec.family == LOGLIN:
-        x = _clamped(x)
-    elif x < 0.0:
-        what = "NBIN latent" if spec.family == NBIN else "PARX intensity"
-        raise DomainError(f"{what} must be >= 0, got {x}")
-    return _log_terms(spec.family, theta.r, [x], [y])[0].item()
+    fam = _FAMILIES[spec.family]
+    return _log_terms(spec.family, theta.r, [_in_domain(fam, x)], [y])[0].item()
 
 
 def covariate_log_density(spec: ModelSpec, xi_prev, xi_next):
@@ -185,7 +333,7 @@ def covariate_log_density(spec: ModelSpec, xi_prev, xi_next):
 
     Rows broadcast: two covariate vectors give a float, two (m, r) arrays m values.
     """
-    if spec.family != PARX:
+    if spec.parx is None:
         raise DomainError("covariate density is defined for PARX only")
     cfg = spec.parx
     resid = np.subtract(xi_next, np.asarray(xi_prev, dtype=float) @ cfg.aleph_matrix().T)
@@ -197,32 +345,14 @@ def covariate_log_density(spec: ModelSpec, xi_prev, xi_next):
 def bind_sampler(spec: ModelSpec, theta: ParameterVector, rng: np.random.Generator):
     """The family's count draw at latent ``x``, bound once to (spec, theta, rng).
 
-    The returned function maps ``x`` to one count.  It checks nothing: ``x``
-    must lie in the simulator's safe range (``simulate.SAFE_RANGE``).  Each
-    call draws from ``rng`` in a fixed order: NBIN draws gamma, then poisson
-    (the gamma-Poisson mixture, so the shape may be any positive real, and no
-    gamma at x = 0); the Poisson families draw poisson only.  For PARX, ``x``
-    is the intensity component: the covariates do not depend on the counts.
+    It checks nothing: ``x`` must lie in the family's safe range.  Each call
+    draws from ``rng`` in a fixed order: NBIN gamma, then poisson; the
+    Poisson families poisson only.  For PARX, ``x`` is the intensity.
     """
-    poisson = rng.poisson
-    if spec.family == LOGLIN:
-        exp = math.exp
-        return lambda x: int(poisson(exp(x)))
-    if spec.family == NBIN:
-        gamma, r = rng.gamma, theta.r
-        return lambda x: int(poisson(gamma(r, x) if x > 0.0 else 0.0))
-    return lambda x: int(poisson(x))
+    return _FAMILIES[spec.family].sampler(theta, rng)
 
 
 def predictive(spec: ModelSpec, theta: ParameterVector, x) -> PredictiveDistribution:
-    """The conditional law of the next count at latent ``x``."""
-    if spec.family == LOGLIN:
-        return PredictiveDistribution(kind="poisson", mean=math.exp(_clamped(x)))
-    if spec.family == NBIN:
-        if x < 0.0:
-            raise DomainError(f"NBIN latent must be >= 0, got {x}")
-        return PredictiveDistribution(kind="negbinomial", mean=theta.r * x, r=theta.r)
-    intensity = x[0] if isinstance(x, tuple) else x
-    if intensity < 0.0:
-        raise DomainError(f"PARX intensity must be >= 0, got {intensity}")
-    return PredictiveDistribution(kind="poisson", mean=float(intensity))
+    """The conditional law of the next count at latent ``x`` (PARX: as in :func:`log_density`)."""
+    fam = _FAMILIES[spec.family]
+    return fam.predictive(theta, _in_domain(fam, x))

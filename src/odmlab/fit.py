@@ -31,7 +31,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .conditions import ConditionReport, check_model
-from .families import ClampWarning, PredictiveDistribution, predictive
+from .families import _FAMILIES, ClampWarning, PredictiveDistribution, predictive
 from .likelihood import (
     GradientUndefinedError,
     LikelihoodValue,
@@ -41,8 +41,6 @@ from .likelihood import (
     loglik,  # unused here; bench/tracing.py wraps odmlab.fit.loglik
 )
 from .model import (
-    LOGLIN,
-    NBIN,
     LatentWindow,
     ModelSpec,
     ObservationSeries,
@@ -58,7 +56,6 @@ from .model import (
     validate_params,
 )
 
-_POS_FLOOR = 1e-8  # hard floor for strictly positive coordinates
 # The search converges when the projected gradient's max-norm is at most
 # TOL_PGRAD, or an accepted step lowers the objective by at most TOL_REL
 # relative to max(1, |value|).  The objective is the normalized negative
@@ -108,14 +105,9 @@ class ThetaBox:
 
 def _bounds(spec: ModelSpec) -> np.ndarray:
     """Rows: hard lower, hard upper, default lower, default upper of each packed coordinate."""
-    inf = math.inf
-    if spec.family == LOGLIN:
-        omega, coef, rest = (-inf, inf, -5.0, 5.0), (-inf, inf, -1.0, 1.0), []
-    else:
-        omega, coef = (_POS_FLOOR, inf, 1e-4, 50.0), (0.0, inf, 0.0, 1.0)
-        rest = ([(_POS_FLOOR, inf, 1e-2, 50.0)] if spec.family == NBIN  # r
-                else [(0.0, inf, 0.0, 10.0)] * spec.parx.d)  # gamma
-    return np.array([omega, *[coef] * (spec.p + spec.q), *rest]).T
+    omega, coef, extra = _FAMILIES[spec.family].bounds
+    extras = len(param_names(spec)) - 1 - spec.p - spec.q
+    return np.array([omega, *[coef] * (spec.p + spec.q), *[extra] * extras]).T
 
 
 def make_box(spec: ModelSpec, lower: Sequence[float], upper: Sequence[float]) -> ThetaBox:
@@ -226,32 +218,6 @@ def _quasi_random_points(dim: int, count: int) -> np.ndarray:
         i //= bases
         f /= bases
     return pts
-
-
-def _data_informed_start(spec: ModelSpec, series: ObservationSeries) -> np.ndarray:
-    p, q = spec.p, spec.q
-    ybar = _count_mean(series)
-    if spec.family == LOGLIN:
-        a = [0.2 / p] * p
-        b = [0.2 / q] * q
-        omega = math.log1p(ybar) * (1.0 - sum(a) - sum(b))
-        vec = [omega, *a, *b]
-    elif spec.family == NBIN:
-        with np.errstate(over="ignore"):  # counts above about 1e154: the variance reads inf
-            yvar = float(np.var(series.y))
-        xbar = max(yvar / max(ybar, 1e-6) - 1.0, 0.1)
-        r0 = max(ybar / xbar, 1e-2)
-        a = [0.2 / p] * p
-        b = [0.2 / (q * max(r0, 1.0))] * q
-        omega = max(xbar * (1.0 - sum(a) - r0 * sum(b)), 1e-3)
-        vec = [omega, *a, *b, r0]
-    else:
-        d = spec.parx.d
-        a = [0.2 / p] * p
-        b = [0.2 / q] * q
-        omega = max(ybar * (1.0 - sum(a) - sum(b)), 1e-3)
-        vec = [omega, *a, *b] + [0.1] * d
-    return np.array(vec, dtype=float)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a huge gradient's products read inf or NaN
@@ -379,7 +345,8 @@ def fit_mle(
     # data-informed, quasi-random, then user extras.  The quasi-random block is
     # a Halton set under a seeded rotation (the start jitter substream), so
     # starts are low-discrepancy yet seed-dependent.
-    starts = [base, _data_informed_start(spec, series)][: opts.starts]
+    informed = _FAMILIES[spec.family].start(spec, _count_mean(series), series.y)
+    starts = [base, np.array(informed, dtype=float)][: opts.starts]
     n_quasi = opts.starts - len(starts)
     if n_quasi and active.any():
         shift = rngmod.substream(opts.seed, rngmod.JITTER).random(int(active.sum()))

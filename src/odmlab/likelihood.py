@@ -1,29 +1,27 @@
-"""Exact conditional log-likelihood and its gradient.
+"""Exact conditional log-likelihood and its gradient, the same code for every family.
 
 With omega, the observation lags, the PARX feature term and (for k <= p) the
 initial window collected in d_k, the latents x_1..x_n solve the banded unit
 lower-triangular system x_k - sum_i a_i x_{k-i} = d_k; the first observation
-only conditions the recursion.  :func:`loglik` takes the latent path from
-the model's one sequential recursion (the same arithmetic as
-:func:`~odmlab.model.iterate_latent`), then evaluates the family's count
-density at each term by the term pass in :mod:`odmlab.families` (its one
-copy, with the scalar formula's bits on every term that is not NaN) and sums
-the terms in order; that alone matches a brute-force recomputation to 1e-12
-absolute on explosive log-linear totals (up to 1e96).
-A private vectorized kernel solves the system with LAPACK ``dtbtrs`` and
-gets the gradient from one transposed solve for the adjoint weights; the
-optimizer and :func:`grad_loglik` use it, and its value agrees with
-:func:`loglik` to rounding; it takes scipy from one cached loader on its
-first call, so importing odmlab, simulating and auditing never load scipy.
-Both cost O(n * (p + q)).  One private prepared form of (series, initial
-window), built the same way for every family, feeds the sequential pass, the
-kernel and the forecast: a fit reduces once.  Each reader builds only the
-fields it reads, and takes every count from one table, the distinct counts
-and each term's index into them (one sort): the forecast reads the window
-and the reduced observations (the log-linear ones come from the table), the
-term pass gathers y and ln y! from the table, and the kernel adds its design
-matrix, the multiplicities and the exact ln y! sum, a ``DomainError`` where
-that sum overflows a double (the sequential pass's sum then reads -inf).
+only conditions the recursion.  The family's record in :mod:`odmlab.families`
+supplies the rest.  :func:`loglik` runs the model's one sequential recursion
+(the arithmetic of :func:`~odmlab.model.iterate_latent`), the families' term
+pass at each term (the scalar formula's bits on every term that is not NaN)
+and sums the terms in order; that matches a brute-force recomputation to
+1e-12 absolute on explosive log-linear totals (up to 1e96).  A private
+vectorized kernel solves the system with LAPACK ``dtbtrs``, takes the total
+and d ln g / dx from the record, and the gradient from one transposed solve
+for the adjoint weights; the optimizer and :func:`grad_loglik` use it, and it
+agrees with :func:`loglik` to rounding.  It loads scipy on its first call, so
+importing odmlab, simulating and auditing never load it.  Both cost
+O(n * (p + q)).  One private prepared form of (series, initial window) feeds
+the sequential pass, the kernel and the forecast: a fit reduces once.  Each
+reader builds only the fields it reads, and takes every count from one
+table, the distinct counts and each term's index into them (one sort): the
+forecast reads the window and the reduced observations, the term pass
+gathers y and the count-only head, and the kernel adds its design matrix,
+the multiplicities and the exact ln y! sum, a ``DomainError`` where that sum
+overflows a double (the sequential pass's sum then reads -inf).
 """
 
 from __future__ import annotations
@@ -31,16 +29,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .families import CLAMP_HI, CLAMP_LO, ClampWarning, _log_terms, covariate_log_density, lnfact
+from .families import (_FAMILIES, CLAMP_HI, CLAMP_LO, ClampWarning, _Family, _load_scipy,
+                       _log_terms, covariate_log_density, lnfact)
 from .model import (
-    LOGLIN,
-    NBIN,
-    PARX,
     DomainError,
     LatentWindow,
     ModelSpec,
@@ -55,15 +51,6 @@ from .model import (
     validate_params,
     validate_window,
 )
-
-
-@cache
-def _load_scipy():
-    """The kernel's (dtbtrs, gammaln, digamma): scipy imports slower than numpy and odmlab."""
-    from scipy import special
-    from scipy.linalg import lapack
-
-    return lapack.dtbtrs, special.gammaln, special.digamma
 
 
 class GradientUndefinedError(ValueError):
@@ -108,7 +95,7 @@ class _Prepared:
     """
 
     n: int
-    family: str
+    fam: _Family
     obs: np.ndarray  # the counts y_0..y_n
     feats: Optional[np.ndarray]  # PARX: (d, n + 1), column k is the feature row f_k
     xw0: tuple[float, ...]
@@ -132,8 +119,8 @@ class _Prepared:
         return self._table[1]
 
     @cached_property
-    def u(self) -> np.ndarray:  # reduced observations u_0..u_n; NBIN and PARX: the counts
-        if self.family != LOGLIN:
+    def u(self) -> np.ndarray:  # reduced observations u_0..u_n; u = y: the counts
+        if not self.fam.log1p:
             return self.obs
         # ln(1 + y) once per distinct count, by math.log1p, which np.log1p does
         # not match bit for bit
@@ -159,7 +146,7 @@ class _Prepared:
             raise DomainError("the sum of ln y! over the counts overflows a double") from None
 
     # (n, dim): row k - 1 is d_k's coefficient on each packed parameter:
-    # 1 | x_{k-i} from the initial window, else 0 | u_{k-j} | 0 (NBIN r) | f_{k-1}
+    # 1 | x_{k-i} from the initial window, else 0 | u_{k-j} | 0 (shape r) | f_{k-1}
     @cached_property
     def matrix(self) -> np.ndarray:
         n, p, q = self.n, len(self.xw0), len(self.uw0) + 1
@@ -167,7 +154,7 @@ class _Prepared:
         uext = np.concatenate((self.uw0, self.u[:n]))  # u_{1-q}..u_{n-1}
         columns = [np.ones(n)] + [xext[p - i : p - i + n] for i in range(1, p + 1)]
         columns += [uext[q - j : q - j + n] for j in range(1, q + 1)]
-        if self.family == NBIN:
+        if self.fam.shape:
             columns.append(np.zeros(n))
         if self.feats is not None:
             columns.extend(self.feats[:, :n])
@@ -188,7 +175,8 @@ def _prepare(
         raise ValueError("need at least two observations (n >= 1 likelihood terms)")
     cov = series.covariates
     feats = None if spec.parx is None else spec.parx.features(cov)
-    return _Prepared(series.n, spec.family, series.y, feats, *_scalar_window(spec, z_init), cov)
+    return _Prepared(series.n, _FAMILIES[spec.family], series.y, feats,
+                     *_scalar_window(spec, z_init), cov)
 
 
 def _loglik_prepared(
@@ -243,7 +231,7 @@ def loglik(
     the value by a constant in theta and never moves the maximizer.
     """
     validate_params(spec, theta)
-    if include_covariate_density and spec.family != PARX:
+    if include_covariate_density and spec.parx is None:
         raise ValueError("covariate density applies to PARX only")
     prep = _prepare(spec, z_init, series)
     return _loglik_prepared(spec, theta, prep, keep_path, include_covariate_density)
@@ -260,47 +248,33 @@ def _kernel(prep: _Prepared, vec: np.ndarray, grad: bool = False):
     clamped log-linear latent, or a latent that is not positive and finite
     for NBIN and PARX) ``grad`` raises ``GradientUndefinedError``.
     """
-    dtbtrs, gammaln, digamma = _load_scipy()
-    n, p, fam, y = prep.n, len(prep.xw0), prep.family, prep.y
+    dtbtrs = _load_scipy()[0]
+    n, p, fam = prep.n, len(prep.xw0), prep.fam
     ab = np.empty((n, p + 1)).T  # Fortran-ordered band: row i holds -a_i
     ab[1:] = -vec[1 : 1 + p, None]
     x = dtbtrs(ab, prep.matrix @ vec, uplo="L", diag="U")[0]
-    if fam == LOGLIN:
-        xc = np.minimum(np.maximum(x, CLAMP_LO), CLAMP_HI)
-        mean = np.exp(xc)
-        total = y.dot(xc) - mean.sum()
-    elif fam == NBIN:
-        r = vec[-1]
-        vals, mult = prep.distinct, prep._mult
-        l1 = np.log1p(x)
-        total = mult.dot(gammaln(r + vals)) - n * gammaln(r) - r * l1.sum() + y.dot(np.log(x) - l1)
-    else:
-        total = y.dot(np.log(x)) - x.sum()
-    # The family constraints keep NBIN and PARX latents >= omega > 0, so a
+    total, derivative = fam.kernel(prep, x, vec)
+    # The family constraints keep a latent >= 0 at or above omega > 0, so a
     # latent outside the density's domain is non-finite and so is the total.
     total = float(total) - prep.lnf_sum
     if not math.isfinite(total):
         total = -math.inf
     if not grad:
         return total, None
-    ok = (xc == x) if fam == LOGLIN else (x > 0.0) & (x < math.inf)  # NaN fails both
-    if not ok.all():
+    if fam.positive:
+        ok, why = (x > 0.0) & (x < math.inf), "makes the gradient undefined"
+    else:  # inside the clamp's bounds
+        ok, why = (x >= CLAMP_LO) & (x <= CLAMP_HI), "is clamped; gradient undefined there"
+    if not ok.all():  # NaN fails both
         k = int(np.argmin(ok))
-        why = ("is clamped; gradient undefined there" if fam == LOGLIN
-               else "makes the gradient undefined")
         raise GradientUndefinedError(f"latent {float(x[k])!r} at term {k + 1} {why}")
-    if fam == LOGLIN:
-        dens = y - mean
-    elif fam == NBIN:
-        dens = y / x - (r + y) / (1.0 + x)
-    else:
-        dens = y / x - 1.0
+    dens, shape_grad = derivative()
     lam = dtbtrs(ab, dens, uplo="L", trans="T", diag="U")[0]
     g = lam @ prep.matrix
     for i in range(1, min(p, n - 1) + 1):  # the a-columns' part on the path
         g[i] += lam[i:] @ x[: n - i]
-    if fam == NBIN:
-        g[-1] = mult.dot(digamma(r + vals)) - n * digamma(r) - l1.sum()
+    if shape_grad is not None:
+        g[-1] = shape_grad
     return total, g / n
 
 

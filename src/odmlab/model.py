@@ -2,23 +2,16 @@
 
 A model couples a latent recursion with an observation kernel: the next
 latent value is an affine function of the last ``p`` latents and the last
-``q`` *reduced* observations, and each count is drawn from a distribution
-parameterized by the current latent.  Three concrete families are supported:
-
-* ``loglin`` -- log-linear Poisson GARCH: latent in R, counts Poisson(e^x),
-  reduction u = ln(1 + y);
-* ``nbin``   -- NBIN-GARCH: latent >= 0, counts negative binomial with shape
-  r and mean r*x, reduction u = y;
-* ``parx``   -- Poisson autoregression with exogenous covariates: the latent
-  is a pair (intensity, covariate vector), counts Poisson(x), covariates an
-  autonomous Gaussian VAR(1), and nonnegative covariate features feed the
-  intensity.
+``q`` *reduced* observations u(y), and each count is drawn from a law
+parameterized by the current latent.  How the families differ is read from
+their records in :mod:`odmlab.families`.  A spec with a :class:`ParxConfig`
+carries covariates: its latent is the pair (intensity, covariate vector), and
+nonnegative covariate features feed the intensity.
 
 This module owns the state objects (parameter vectors, latent windows,
 observation series) and the deterministic recursions: one-step link, running
 iteration, and the sliding-window step that re-expresses an order-(p, q)
-model as an order-(1, 1) one.  Observation kernels live in
-:mod:`odmlab.families`.
+model as an order-(1, 1) one.
 
 Conventions
 -----------
@@ -33,27 +26,19 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-LOGLIN = "loglin"
-NBIN = "nbin"
-PARX = "parx"
-
-FAMILIES = (LOGLIN, NBIN, PARX)
+# the family names and DomainError are re-exported
+from .families import _FAMILIES, FAMILIES, LOGLIN, NBIN, PARX, DomainError, check_count  # noqa: F401
 
 # each kind on a numpy column, rounding as on a float; pos_part maps -0.0, NaN to 0.0
 _FEATURES = {"square": np.square, "abs": np.abs, "pos_part": lambda v: np.where(v > 0.0, v, 0.0)}
 FEATURE_KINDS = tuple(_FEATURES)
 _CHECK_BLOCK = 1 << 14  # counts checked per block by ObservationSeries
 _BOOL_TYPES = frozenset((bool, np.bool_))  # float() takes them, but a bool is not a coefficient
-
-
-class DomainError(ValueError):
-    """An argument is outside the family's domain."""
 
 
 def _integer(value, what: str) -> int:
@@ -93,8 +78,12 @@ class ParxConfig:
     def __post_init__(self):
         if _integer(self.r_dim, "r_dim") < 1:
             raise ValueError("covariate dimension must be >= 1")
+        if isinstance(self.feature_kinds, str):  # a str would split into characters
+            raise ValueError(f"feature_kinds must be a sequence of kinds, got the string "
+                             f"{self.feature_kinds!r}")
         if not self.feature_kinds:
             raise ValueError("at least one feature is required")
+        object.__setattr__(self, "feature_kinds", tuple(self.feature_kinds))
         if len(self.feature_kinds) > self.r_dim:
             raise ValueError(
                 f"{len(self.feature_kinds)} features but only {self.r_dim} covariate "
@@ -136,11 +125,12 @@ class ModelSpec:
     parx: Optional[ParxConfig] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in FAMILIES:  # a tuple: an unhashable family is unknown, too
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.family == PARX and self.parx is None:
-            raise ValueError("PARX requires a ParxConfig")
-        if self.family != PARX and self.parx is not None:
+        fam = _FAMILIES[self.family]
+        if fam.covariates and self.parx is None:
+            raise ValueError(f"{fam.title} requires a ParxConfig")
+        if not fam.covariates and self.parx is not None:
             raise ValueError(f"family {self.family!r} takes no ParxConfig")
 
     @property
@@ -156,9 +146,8 @@ class ModelSpec:
         a, b, gammas = tuple(a), tuple(b), () if gamma is None else tuple(gamma)
         values = (omega, *a, *b, r, *gammas)
         if not _BOOL_TYPES.isdisjoint(map(type, values)):
-            names = ["omega", *(f"a{i}" for i in range(1, len(a) + 1)),
-                     *(f"b{i}" for i in range(1, len(b) + 1)), "r",
-                     *(f"gamma{i}" for i in range(1, len(gammas) + 1))]
+            names = ["omega", *_names("a", len(a)), *_names("b", len(b)), "r",
+                     *_names("gamma", len(gammas))]
             name, value = next(nv for nv in zip(names, values) if type(nv[1]) in _BOOL_TYPES)
             raise ValueError(f"{name} must be a number, got {value!r}")
         theta = ParameterVector(
@@ -194,47 +183,37 @@ def validate_params(spec: ModelSpec, theta: ParameterVector) -> None:
             f"coefficient lengths ({len(theta.a)}, {len(theta.b)}) do not match order "
             f"({spec.p}, {spec.q})"
         )
-    fam = spec.family
-    if fam == LOGLIN:
-        if theta.r is not None or theta.gamma is not None:
-            raise DomainError("log-linear parameters carry no r or gamma")
-        return
-    if not theta.omega > 0.0:
-        raise DomainError(f"{fam} requires omega > 0, got {theta.omega}")
-    if any(v < 0.0 for v in theta.a) or any(v < 0.0 for v in theta.b):
-        raise DomainError(f"{fam} requires a, b >= 0 elementwise")
-    if fam == NBIN:
-        if theta.gamma is not None:
-            raise DomainError("NBIN parameters carry no gamma")
-        if theta.r is None or not theta.r > 0.0:
-            raise DomainError(f"NBIN requires shape r > 0, got {theta.r}")
-    else:  # PARX
+    fam = _FAMILIES[spec.family]
+    if fam.positive:
+        if not theta.omega > 0.0:
+            raise DomainError(f"{spec.family} requires omega > 0, got {theta.omega}")
+        if any(v < 0.0 for v in theta.a) or any(v < 0.0 for v in theta.b):
+            raise DomainError(f"{spec.family} requires a, b >= 0 elementwise")
+    if not fam.shape:
         if theta.r is not None:
-            raise DomainError("PARX parameters carry no r")
-        if theta.gamma is None or len(theta.gamma) != spec.parx.d:
-            raise DomainError(f"PARX requires gamma of length {spec.parx.d}")
-        if any(g < 0.0 for g in theta.gamma):
-            raise DomainError("PARX requires gamma >= 0 elementwise")
+            raise DomainError(f"{fam.title} parameters carry no r")
+    elif theta.r is None or not theta.r > 0.0:
+        raise DomainError(f"{fam.title} requires shape r > 0, got {theta.r}")
+    if spec.parx is None:
+        if theta.gamma is not None:
+            raise DomainError(f"{fam.title} parameters carry no gamma")
+    elif theta.gamma is None or len(theta.gamma) != spec.parx.d:
+        raise DomainError(f"{fam.title} requires gamma of length {spec.parx.d}")
+    elif any(g < 0.0 for g in theta.gamma):
+        raise DomainError(f"{fam.title} requires gamma >= 0 elementwise")
 
 
 def param_names(spec: ModelSpec) -> tuple[str, ...]:
-    names = ["omega"]
-    names += [f"a{i}" for i in range(1, spec.p + 1)]
-    names += [f"b{i}" for i in range(1, spec.q + 1)]
-    if spec.family == NBIN:
-        names.append("r")
-    elif spec.family == PARX:
-        names += [f"gamma{i}" for i in range(1, spec.parx.d + 1)]
-    return tuple(names)
+    extras = ["r"] if _FAMILIES[spec.family].shape else []
+    if spec.parx is not None:
+        extras += _names("gamma", spec.parx.d)
+    return ("omega", *_names("a", spec.p), *_names("b", spec.q), *extras)
 
 
 def pack_params(spec: ModelSpec, theta: ParameterVector) -> np.ndarray:
-    vec = [theta.omega, *theta.a, *theta.b]
-    if spec.family == NBIN:
-        vec.append(theta.r)
-    elif spec.family == PARX:
-        vec.extend(theta.gamma)
-    return np.asarray(vec, dtype=float)
+    r = (theta.r,) if _FAMILIES[spec.family].shape else ()
+    gamma = () if spec.parx is None else theta.gamma
+    return np.asarray([theta.omega, *theta.a, *theta.b, *r, *gamma], dtype=float)
 
 
 def unpack_params(spec: ModelSpec, vec: Sequence[float]) -> ParameterVector:
@@ -244,8 +223,9 @@ def unpack_params(spec: ModelSpec, vec: Sequence[float]) -> ParameterVector:
     if len(vec) != expected:
         raise ValueError(f"expected {expected} parameters for {spec.family}, got {len(vec)}")
     omega, a, b = vec[0], tuple(vec[1 : 1 + p]), tuple(vec[1 + p : 1 + p + q])
-    r = vec[1 + p + q] if spec.family == NBIN else None
-    gamma = tuple(vec[1 + p + q :]) if spec.family == PARX else None
+    rest = vec[1 + p + q :]  # r, then gamma
+    r = rest.pop(0) if _FAMILIES[spec.family].shape else None
+    gamma = None if spec.parx is None else tuple(rest)
     return ParameterVector(omega=omega, a=a, b=b, r=r, gamma=gamma)
 
 
@@ -267,16 +247,14 @@ def validate_window(spec: ModelSpec, z: LatentWindow) -> None:
             f"window shape ({len(z.x)}, {len(z.u)}) does not match order "
             f"({spec.p}, {spec.q - 1} stored reductions)"
         )
-    if spec.family == NBIN:
-        if any(v < 0.0 for v in z.x) or any(v < 0.0 for v in z.u):
-            raise DomainError("NBIN window entries must be >= 0")
-    elif spec.family == PARX:
-        for e in z.x:
-            if e[0] < 0.0 or len(e[1]) != spec.parx.r_dim:
-                raise DomainError("PARX latent entries must be (x >= 0, xi of length r)")
-        for e in z.u:
-            if e[0] < 0.0 or len(e[1]) != spec.parx.d or len(e[2]) != spec.parx.r_dim:
-                raise DomainError("PARX reduced entries must be (y >= 0, features, xi)")
+    if spec.parx is not None:
+        r, d = spec.parx.r_dim, spec.parx.d
+        if any(len(e[1]) != r for e in z.x) or any(len(e[1]) != d or len(e[2]) != r for e in z.u):
+            raise DomainError("PARX window entries must be (x, xi) and (y, features, xi), "
+                              "xi of length r")
+    fam = _FAMILIES[spec.family]
+    if fam.positive and any(v < 0.0 for part in _scalar_window(spec, z) for v in part):
+        raise DomainError(f"{fam.title} window entries must be >= 0")
 
 
 def _frozen(values, ndim: int, what: str) -> np.ndarray:
@@ -352,7 +330,7 @@ class ObservationSeries:
 
 
 def check_series(spec: ModelSpec, series: ObservationSeries) -> None:
-    want = spec.parx.r_dim if spec.family == PARX else 0
+    want = 0 if spec.parx is None else spec.parx.r_dim
     got = 0 if series.covariates is None else series.covariates.shape[1]
     if got != want:
         raise DomainError(f"family {spec.family!r} takes {want} covariate columns, got {got}")
@@ -366,32 +344,22 @@ def check_series(spec: ModelSpec, series: ObservationSeries) -> None:
 # Compiled once per shape, the step reads locals and runs no inner loop.
 
 
-def check_count(y) -> None:
-    """Raise ``DomainError`` unless ``y`` is a nonnegative integer value with a float64 form."""
-    if not 0 <= y < math.inf or y % 1:  # NaN and inf fail before the %
-        raise DomainError(f"counts must be nonnegative integers, got {y!r}")
-    if y > sys.float_info.max:  # compared exactly: a Python int this large has no float
-        raise DomainError("counts must be nonnegative integers with a float64 form, got one "
-                          f"above the largest double, {sys.float_info.max:.6g}")
-
-
 def reduce(spec: ModelSpec, y):
     """Apply the family's observation reduction.
 
-    loglin: ln(1 + y); nbin: y; parx: (y, feature values, xi) where the input
-    is the pair (count, covariate row), whose entries must be finite.
+    ln(1 + y) or y as the family's record says; with covariates, (y, feature
+    values, xi) where the input is the pair (count, covariate row), whose
+    entries must be finite.
     """
-    if spec.family == PARX:
+    if spec.parx is not None:
         return _reduce_all(spec, (y,))[0]
     check_count(y)
-    if spec.family == LOGLIN:
-        return math.log1p(y)
-    return float(y)
+    return math.log1p(y) if _FAMILIES[spec.family].log1p else float(y)
 
 
 def _reduce_all(spec: ModelSpec, ys) -> list:
     """:func:`reduce` over ``ys``: PARX rows are checked in order, then featurized at once."""
-    if spec.family != PARX:
+    if spec.parx is None:
         return [reduce(spec, y) for y in ys]
     counts, rows = [], []
     for count, xi in ys:
@@ -474,7 +442,7 @@ def _latent_path(theta: ParameterVector, xw0, uw0, u, f=(), loop: str = _PATH_LO
 
 def _scalar_window(spec: ModelSpec, z: LatentWindow) -> tuple[tuple, tuple]:
     """Latents and reductions of ``z`` as the recursion reads them (PARX: intensities, counts)."""
-    if spec.family == PARX:
+    if spec.parx is not None:
         return tuple(e[0] for e in z.x), tuple(e[0] for e in z.u)
     return z.x, z.u
 
@@ -482,7 +450,7 @@ def _scalar_window(spec: ModelSpec, z: LatentWindow) -> tuple[tuple, tuple]:
 def _window_path(spec: ModelSpec, theta: ParameterVector, z: LatentWindow, u) -> list:
     """x_1..x_m from window ``z`` over the reduced observations ``u`` (PARX: unpacked)."""
     xw0, uw0 = _scalar_window(spec, z)
-    if spec.family == PARX:
+    if spec.parx is not None:
         return _latent_path(theta, xw0, uw0, [v[0] for v in u], tuple(zip(*(v[1] for v in u))))
     return _latent_path(theta, xw0, uw0, u)
 
@@ -494,7 +462,7 @@ def link_step(spec: ModelSpec, theta: ParameterVector, z: LatentWindow, u_now):
     the returned latent is the pair (intensity, covariate row of ``u_now``).
     """
     x = _window_path(spec, theta, z, [u_now])[0]
-    return (x, u_now[2]) if spec.family == PARX else x
+    return x if spec.parx is None else (x, u_now[2])
 
 
 def embed_step(spec: ModelSpec, theta: ParameterVector, z: LatentWindow, y) -> LatentWindow:
@@ -527,17 +495,16 @@ def iterate_latent(spec: ModelSpec, theta: ParameterVector, z_init: LatentWindow
     if not u:
         return project_latent(spec, z_init)
     x = _window_path(spec, theta, z_init, u)[-1]
-    return (x, u[-1][2]) if spec.family == PARX else x
+    return x if spec.parx is None else (x, u[-1][2])
 
 
 def constant_window(spec: ModelSpec, x1, y1, xi1=None) -> LatentWindow:
     """Window with every latent entry ``x1`` and every reduction built from ``y1``."""
-    if spec.family == PARX:
+    x1 = float(x1)
+    if spec.parx is not None:
         xi1 = tuple(float(v) for v in (xi1 if xi1 is not None else (0.0,) * spec.parx.r_dim))
-        u1 = reduce(spec, (y1, xi1))
-        return LatentWindow(x=((float(x1), xi1),) * spec.p, u=(u1,) * (spec.q - 1))
-    u1 = reduce(spec, y1)
-    return LatentWindow(x=(float(x1),) * spec.p, u=(u1,) * (spec.q - 1))
+        x1, y1 = (x1, xi1), (y1, xi1)
+    return LatentWindow(x=(x1,) * spec.p, u=(reduce(spec, y1),) * (spec.q - 1))
 
 
 def _count_mean(series: ObservationSeries) -> float:
@@ -553,15 +520,14 @@ def _count_mean(series: ObservationSeries) -> float:
 def default_initial_window(spec: ModelSpec, series: ObservationSeries) -> LatentWindow:
     """Data-scaled starting window for likelihood evaluation.
 
-    log-linear: all zeros.  NBIN/PARX: latent entries at the sample mean of
-    the counts (floored at 1e-6 to stay strictly positive), reductions built
-    from the first observation.  Any admissible point is allowed; these
-    defaults just shorten the transient.
+    A real latent: all zeros.  A latent >= 0: latent entries at the sample
+    mean of the counts (floored at 1e-6 to stay strictly positive),
+    reductions built from the first observation and, with covariates, its
+    covariate row.  Any admissible point is allowed; these defaults just
+    shorten the transient.
     """
     check_series(spec, series)
-    if spec.family == LOGLIN:
+    if not _FAMILIES[spec.family].positive:
         return constant_window(spec, 0.0, 0)
-    x1 = max(_count_mean(series), 1e-6)
-    if spec.family == NBIN:
-        return constant_window(spec, x1, series.y[0])
-    return constant_window(spec, x1, series.y[0], xi1=series.covariates[0])
+    xi1 = None if series.covariates is None else series.covariates[0]
+    return constant_window(spec, max(_count_mean(series), 1e-6), series.y[0], xi1)

@@ -23,11 +23,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .conditions import check_model
-from .families import bind_sampler
+from .families import _FAMILIES, bind_sampler
 from .model import (
-    LOGLIN,
-    NBIN,
-    PARX,
     LatentWindow,
     ModelSpec,
     ObservationSeries,
@@ -41,14 +38,6 @@ from .model import (
     validate_params,
     validate_window,
 )
-
-# The latents simulate_series draws at, per family; NaN is in none.  The
-# log-linear top is the largest double whose exp, the Poisson mean, is <= 4e18.
-_LOGLIN_HI = math.log(4.0e18)
-while math.exp(_LOGLIN_HI) > 4.0e18:
-    _LOGLIN_HI = math.nextafter(_LOGLIN_HI, -math.inf)
-SAFE_RANGE = {LOGLIN: (-1e3, _LOGLIN_HI), NBIN: (0.0, 1e12), PARX: (0.0, 1e12)}
-
 
 # the simulator's loop for _compiled: the affine step, with step t's draw before it
 _LOOP = """\
@@ -107,7 +96,7 @@ class SimResult:
 
 def default_simulation_window(spec: ModelSpec, theta: ParameterVector) -> LatentWindow:
     """A fixed admissible starting window; burn-in absorbs the transient."""
-    return constant_window(spec, 0.0 if spec.family == LOGLIN else theta.omega, 0)
+    return constant_window(spec, theta.omega if _FAMILIES[spec.family].positive else 0.0, 0)
 
 
 def covariate_path(cfg: ParxConfig, xi0, noise: np.ndarray) -> np.ndarray:
@@ -132,10 +121,10 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
     observation substream (NBIN: gamma, then poisson), and the PARX covariate
     noise of all steps is drawn up front as one block from the covariate
     substream.  Raises ``LatentExplosionError`` at the first step whose
-    latent leaves ``SAFE_RANGE`` ([-1e3, 42.83282603501271] log-linear, the
-    top being the largest x with e^x <= 4e18; [0, 1e12] otherwise; never
-    NaN), which for sustained runs means the parameters fail their stability
-    condition.
+    latent leaves the family's safe range ([-1e3, 42.83282603501271]
+    log-linear, the top being the largest x with e^x <= 4e18; [0, 1e12]
+    otherwise; never NaN), which for sustained runs means the parameters
+    fail their stability condition.
     """
     validate_params(spec, theta)
     z0 = cfg.z_init if cfg.z_init is not None else default_simulation_window(spec, theta)
@@ -143,10 +132,11 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
     burn_in, n = cfg.burn_in, cfg.n
     steps = burn_in + n + 1
     draw = bind_sampler(spec, theta, rngmod.substream(cfg.seed, rngmod.OBSERVATION))
-    lo, hi = SAFE_RANGE[spec.family]
+    fam = _FAMILIES[spec.family]
+    lo, hi = fam.safe_range
     ys, xs = np.empty(n + 1), np.empty(n + 1)
     covariates, ks, gamma = None, range(-burn_in, n + 1), theta.gamma or ()
-    if spec.family == PARX:
+    if spec.parx is not None:
         px = spec.parx
         noise = rngmod.substream(cfg.seed, rngmod.COVARIATE).standard_normal((steps, px.r_dim))
         noise *= px.sigma
@@ -158,7 +148,7 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
     run = _compiled(len(theta.a), len(theta.b), len(gamma), _LOOP)
     # item assignment through a memoryview: the cheapest store of one number
     stop = run(theta.omega, theta.a, theta.b, gamma, *_scalar_window(spec, z0), ks, draw,
-               spec.family == LOGLIN, lo, hi, memoryview(ys), memoryview(xs))
+               fam.log1p, lo, hi, memoryview(ys), memoryview(xs))
     if stop is not None:
         k, x = stop
         raise LatentExplosionError(

@@ -170,6 +170,9 @@ ERROR_FILES = {
     "mc_omega_bool.json": {**MC_CONFIG, "theta_star": {"omega": True, "a": [0.5], "b": [0.3]}},
     "mc_xi_dim_bool.json": {**MC_CONFIG, "family": "parx", "xi_dim": True, "theta_star": {
         "omega": 0.5, "a": [0.3], "b": [0.2], "gamma": [0.3]}},
+    "mc_feature_string.json": {**MC_CONFIG, "family": "parx", "feature": "abs", "theta_star": {
+        "omega": 0.5, "a": [0.3], "b": [0.2], "gamma": [0.3]}},
+    "mc_family_list.json": {**MC_CONFIG, "family": ["nbin"]},
 }
 FORECAST = ("forecast", "--family", "loglin", "--data", "loglin.csv", "--theta-file")
 # argv, and a piece of the one error line
@@ -257,6 +260,10 @@ ERROR_TABLE = {
                       "omega must be a number, got True"),
     "mc_xi_dim_bool": (("mc-consistency", "--config", "mc_xi_dim_bool.json"),
                        "config 'xi_dim' must be an integer, got true"),
+    "mc_feature_string": (("mc-consistency", "--config", "mc_feature_string.json"),
+                          "feature_kinds must be a sequence of kinds, got the string 'abs'"),
+    "mc_family_list": (("mc-consistency", "--config", "mc_family_list.json"),
+                       "config family must be one of ('loglin', 'nbin', 'parx')"),
 }
 
 

@@ -114,6 +114,9 @@ class TestLogDensity:
             assert log_density(spec, th, x, y) == pytest.approx(
                 oracles.density_log_pmf(spec, th, x, y), abs=1e-12
             )
+            if spec.family == PARX:  # the (intensity, xi) pair that link_step returns
+                pair = (x, (0.1,) * spec.parx.r_dim)
+                assert log_density(spec, th, pair, y) == log_density(spec, th, x, y)
 
     def test_lnfact_table_matches_lgamma(self):
         for y in (0, 1, 2, 17, 255, 256, 300, 1000):

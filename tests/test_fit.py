@@ -30,6 +30,7 @@ from odmlab.model import (
     pack_params,
     reduce,
     unpack_params,
+    validate_params,
 )
 from odmlab.families import ClampWarning, log_density, predictive
 from odmlab.simulate import LatentExplosionError, SimConfig, simulate_series
@@ -49,6 +50,12 @@ class TestThetaBox:
         assert box.lower[0] > 0.0  # omega > 0
         assert box.lower[1] == 0.0 and box.lower[2] == 0.0
         assert box.lower[3] > 0.0  # r > 0
+        # each family's bound rows agree with its validation rules: the box's
+        # lower corner, an infinite bound made finite, is a valid point
+        for spec in (loglin_spec(2, 2), nbin_spec(2, 1), parx_spec(r_dim=2)):
+            dim = len(default_box(spec).lower)
+            lower = make_box(spec, [-math.inf] * dim, [math.inf] * dim).lower
+            validate_params(spec, unpack_params(spec, [max(v, -1.0) for v in lower]))
 
     def test_clip_and_contains(self):
         spec = loglin_spec()

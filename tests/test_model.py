@@ -406,6 +406,9 @@ class TestParamsAndWindows:
             validate_params(loglin_spec(), ParameterVector(0.0, (0.1,), (0.1,), r=2.0))
         # log-linear coefficients are unrestricted reals
         loglin_spec().params(-3.0, [-0.9], [0.9])
+        for family in (["nbin"], {"a": 1}):  # unhashable: an unknown family, not a TypeError
+            with pytest.raises(ValueError, match="unknown family"):
+                ModelSpec(family, ModelOrder(1, 1))
 
     def test_parx_config_validation(self):
         with pytest.raises(ValueError):
