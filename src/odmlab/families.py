@@ -163,7 +163,7 @@ class _Family:
         return x[0] if self.covariates and isinstance(x, tuple) else x
 
 
-def _terms(f, xs) -> np.ndarray:
+def _each(f, xs) -> np.ndarray:  # math's f per latent: numpy's differ by an ulp
     return np.fromiter(map(f, xs), float, len(xs))
 
 
@@ -177,8 +177,8 @@ def _nbin_head(r, counts) -> np.ndarray:  # ln Gamma(r + y) - ln y! - ln Gamma(r
 
 
 def _nbin_latent(x, xs, y, head, r):
-    l1 = _terms(math.log1p, xs)
-    return (head - r * l1 + y * _terms(math.log, xs)) - y * l1
+    l1 = _each(math.log1p, xs)
+    return (head - r * l1 + y * _each(math.log, xs)) - y * l1
 
 
 def _loglin_kernel(prep, x, vec):
@@ -241,7 +241,7 @@ _FAMILIES = {
         safe_range=(-1e3, _LOGLIN_HI), sampler=_loglin_sampler,
         predictive=lambda theta, x: PredictiveDistribution("poisson", math.exp(x)),
         log_head=_lnfact_head,
-        log_latent=lambda x, xs, y, head, r: (-_terms(math.exp, xs) + y * x) - head,
+        log_latent=lambda x, xs, y, head, r: (-_each(math.exp, xs) + y * x) - head,
         kernel=_loglin_kernel, start=_loglin_start, balance=None,
     ),
     NBIN: _Family(
@@ -258,7 +258,7 @@ _FAMILIES = {
         safe_range=(0.0, 1e12), sampler=_poisson_sampler,
         predictive=lambda theta, x: PredictiveDistribution("poisson", float(x)),
         log_head=_lnfact_head,
-        log_latent=lambda x, xs, y, head, r: (-x + y * _terms(math.log, xs)) - head,
+        log_latent=lambda x, xs, y, head, r: (-x + y * _each(math.log, xs)) - head,
         kernel=lambda prep, x, vec: (prep.y.dot(np.log(x)) - x.sum(),
                                      lambda: (prep.y / x - 1.0, None)),
         start=_parx_start,

@@ -31,8 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# the family names and DomainError are re-exported
-from .families import _FAMILIES, FAMILIES, LOGLIN, NBIN, PARX, DomainError, check_count  # noqa: F401
+from .families import _FAMILIES, FAMILIES, DomainError, check_count
+from .families import LOGLIN, NBIN, PARX  # noqa: F401 (re-exported)
 
 # each kind on a numpy column, rounding as on a float; pos_part maps -0.0, NaN to 0.0
 _FEATURES = {"square": np.square, "abs": np.abs, "pos_part": lambda v: np.where(v > 0.0, v, 0.0)}
