@@ -75,25 +75,39 @@ def _add_family_flags(parser: argparse.ArgumentParser, with_theta: bool = True) 
     else:
         parser.add_argument("--p", type=int, default=1)
         parser.add_argument("--q", type=int, default=1)
-    parser.add_argument("--xi-dim", type=int, default=1, help="PARX covariate dimension")
-    parser.add_argument("--feature", nargs="+", default=["abs"], choices=FEATURE_KINDS,
-                        help="PARX feature kinds (feature j reads covariate j)")
-    parser.add_argument("--aleph", type=float, nargs="+", default=None,
+    # None when not given, so that a family without covariates can refuse them
+    parser.add_argument("--xi-dim", type=int, help="PARX covariate dimension (default 1)")
+    parser.add_argument("--feature", nargs="+", choices=FEATURE_KINDS,
+                        help="PARX feature kinds (feature j reads covariate j; default abs)")
+    parser.add_argument("--aleph", type=float, nargs="+",
                         help="PARX VAR(1) matrix, row-major (default 0.5 * identity)")
-    parser.add_argument("--sigma", type=float, default=1.0, help="PARX noise scale")
+    parser.add_argument("--sigma", type=float, help="PARX noise scale (default 1)")
+
+
+COVARIATE_KEYS = ("xi_dim", "feature", "aleph", "sigma")
 
 
 def _build_parx_config(args) -> Optional[ParxConfig]:
-    """The covariate block from the flags, for a family that takes one; else None."""
+    """The covariate block from the flags, for a family that takes one; else None.
+
+    A family without covariates refuses any of ``COVARIATE_KEYS`` that is set.
+    """
     if not _FAMILIES[args.family].covariates:
+        given = [key for key in COVARIATE_KEYS if getattr(args, key) is not None]
+        if given:
+            raise CliError(f"family {args.family!r} takes no covariate settings, got "
+                           f"{', '.join(given)}")
         return None
-    r_dim, flat = args.xi_dim, args.aleph
+    r_dim = 1 if args.xi_dim is None else args.xi_dim
+    flat = args.aleph
     if flat is None:  # 0.5 * identity
         flat = [0.5 if i == j else 0.0 for i in range(r_dim) for j in range(r_dim)]
     elif len(flat) != r_dim * r_dim:
         raise CliError(f"--aleph needs {r_dim * r_dim} entries for xi-dim {r_dim}")
     mat = tuple(tuple(flat[i * r_dim : (i + 1) * r_dim]) for i in range(r_dim))
-    return ParxConfig(r_dim=r_dim, feature_kinds=args.feature, aleph=mat, sigma=args.sigma)
+    feature = ["abs"] if args.feature is None else args.feature
+    sigma = 1.0 if args.sigma is None else args.sigma
+    return ParxConfig(r_dim=r_dim, feature_kinds=feature, aleph=mat, sigma=sigma)
 
 
 def _build_spec_theta(args) -> tuple[ModelSpec, ParameterVector]:
@@ -350,14 +364,13 @@ def cmd_mc_consistency(args) -> int:
     theta_raw = _json_object(raw.get("theta_star", {}), "config 'theta_star'")
     ns = argparse.Namespace(
         family=raw.get("family"),
-        xi_dim=_json_int(raw.get("xi_dim", 1), "config 'xi_dim'"),
-        feature=raw.get("feature", ["abs"]),
-        aleph=raw.get("aleph"),
-        sigma=raw.get("sigma", 1.0),
+        **{key: raw.get(key) for key in COVARIATE_KEYS},
         **{key: theta_raw.get(key) for key in ("omega", "a", "b", "r", "gamma")},
     )
     if ns.family not in FAMILIES:  # a tuple: an unhashable family is not one of them
         raise CliError(f"config family must be one of {FAMILIES}")
+    if "xi_dim" in raw:
+        ns.xi_dim = _json_int(raw["xi_dim"], "config 'xi_dim'")
     try:
         spec, theta_star = _build_spec_theta(ns)
     except TypeError as exc:  # e.g. a scalar where a list belongs

@@ -250,23 +250,34 @@ def check_parx(spec: ModelSpec, theta: ParameterVector) -> ConditionReport:
     return check_model(spec, theta)
 
 
-def check_model(spec: ModelSpec, theta: ParameterVector, **kwargs) -> ConditionReport:
-    """The family's audit: its sharp balance (``kwargs`` unused), or :func:`check_loglin`."""
-    balance = _FAMILIES[spec.family].balance
-    if balance is None:
-        return check_loglin(spec, theta, **kwargs)
+def check_model(
+    spec: ModelSpec, theta: ParameterVector, certificate_depth: Optional[int] = None
+) -> ConditionReport:
+    """The family's audit: its sharp balance, or :func:`check_loglin` up to ``certificate_depth``.
+
+    A depth given for a family with a sharp balance raises ``ValueError``.
+    """
+    fam = _FAMILIES[spec.family]
+    if fam.balance is None:
+        return check_loglin(spec, theta, certificate_depth)
+    if certificate_depth is not None:
+        raise ValueError(f"certificate depth applies to the log-linear family only, "
+                         f"not {fam.title}")
     validate_params(spec, theta)
-    lhs = balance(theta)
+    lhs = fam.balance(theta)
     checks = (ConditionCheck("coefficient_balance", lhs, 1.0, lhs < 1.0),)
     return ConditionReport("Pass" if lhs < 1.0 else "Fail", checks, extras={"lhs": lhs})
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a root or its power beyond a double
 def check_identifiable(a, b) -> ConditionReport:
     """No-common-root criterion for the latent and feedback polynomials.
 
     Fails when the feedback polynomial is identically zero (the criterion is
     then vacuous) or when one of its complex roots is, within ``TOL_ROOT``
-    relative scale, also a root of the latent polynomial.
+    relative scale, also a root of the latent polynomial (a margin that is
+    NaN fails too).  Raises ``ValueError`` where a ratio of b's coefficients
+    is not finite, so that the polynomial has no finite companion matrix.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
@@ -275,7 +286,10 @@ def check_identifiable(a, b) -> ConditionReport:
         checks = (ConditionCheck("feedback_poly_nonzero", 0.0, 0.0, False),)
         return ConditionReport(verdict="Fail", checks=checks)
     # feedback polynomial b1 z^(q-1) + ... + bq; a nonzero constant (q = 1) has no roots
-    roots = np.roots(b) if len(b) > 1 else ()
+    try:
+        roots = np.roots(b) if len(b) > 1 else ()
+    except np.linalg.LinAlgError:
+        raise ValueError(f"the feedback polynomial with b = {b} has no finite roots") from None
     if len(roots) == 0:
         checks = (ConditionCheck("min_scaled_latent_poly_at_roots", math.inf, TOL_ROOT, True),)
         return ConditionReport(verdict="Pass", checks=checks)

@@ -61,6 +61,14 @@ class ClampWarning(RuntimeWarning):
     """The latent was clamped before exponentiation."""
 
 
+def _warn_clamped(value) -> None:
+    """Warn once, at the public call's caller, about a likelihood pass that clamped."""
+    if value.clamped:
+        warnings.warn(f"{value.clamped} of {value.n} latent values clamped to [{CLAMP_LO:.0f}, "
+                      f"{CLAMP_HI:.0f}] before exponentiation, the first at term "
+                      f"{value.first_clamped}", ClampWarning, stacklevel=3)
+
+
 @cache
 def _load_scipy():
     """The kernel's (dtbtrs, gammaln, digamma): scipy imports slower than numpy and odmlab."""
@@ -154,9 +162,12 @@ class _Family:
     predictive: Callable  # (theta, x in the domain) -> PredictiveDistribution
     log_head: Callable  # (r, counts) -> each count's count-only part of ln g
     log_latent: Callable  # (x, xs, y, head, r) -> the terms at latents x (list xs) in the domain
-    kernel: Callable  # (prep, x, vec) -> (total but ln y!, thunk of (d ln g / dx, r-gradient))
+    kernel: Callable  # (prep, x, vec) -> (total but ln y!, d ln g / dx, r-gradient or None)
     start: Callable  # (spec, mean count, counts) -> the data-informed packed start
     balance: Optional[Callable]  # theta -> the sharp stability sum (< 1); None: the certificate
+
+    def defined(self, x: np.ndarray) -> np.ndarray:  # where ln g and d ln g / dx are defined
+        return (0.0 < x) & (x < math.inf) if self.positive else (CLAMP_LO <= x) & (x <= CLAMP_HI)
 
     def intensity(self, x):
         """The latent the count law reads: a PARX pair's intensity, or ``x``."""
@@ -184,7 +195,7 @@ def _nbin_latent(x, xs, y, head, r):
 def _loglin_kernel(prep, x, vec):
     xc = np.minimum(np.maximum(x, CLAMP_LO), CLAMP_HI)
     mean = np.exp(xc)
-    return prep.y.dot(xc) - mean.sum(), lambda: (prep.y - mean, None)
+    return prep.y.dot(xc) - mean.sum(), prep.y - mean, None
 
 
 def _nbin_kernel(prep, x, vec):
@@ -192,8 +203,8 @@ def _nbin_kernel(prep, x, vec):
     n, y, r, vals, mult = prep.n, prep.y, vec[-1], prep.distinct, prep._mult
     l1 = np.log1p(x)
     total = mult.dot(gammaln(r + vals)) - n * gammaln(r) - r * l1.sum() + y.dot(np.log(x) - l1)
-    return total, lambda: (y / x - (r + y) / (1.0 + x),
-                           mult.dot(digamma(r + vals)) - n * digamma(r) - l1.sum())
+    return (total, y / x - (r + y) / (1.0 + x),
+            mult.dot(digamma(r + vals)) - n * digamma(r) - l1.sum())
 
 
 def _loglin_start(spec, ybar, y) -> list:
@@ -259,8 +270,7 @@ _FAMILIES = {
         predictive=lambda theta, x: PredictiveDistribution("poisson", float(x)),
         log_head=_lnfact_head,
         log_latent=lambda x, xs, y, head, r: (-x + y * _each(math.log, xs)) - head,
-        kernel=lambda prep, x, vec: (prep.y.dot(np.log(x)) - x.sum(),
-                                     lambda: (prep.y / x - 1.0, None)),
+        kernel=lambda prep, x, vec: (prep.y.dot(np.log(x)) - x.sum(), prep.y / x - 1.0, None),
         start=_parx_start,
         balance=lambda theta: sum(theta.a) + sum(theta.b),
     ),
@@ -291,7 +301,7 @@ def _log_terms(family: str, r, xs: list, distinct, index=None):
             x = np.clip(x, CLAMP_LO, CLAMP_HI)
             xs = x.tolist()
         return fam.log_latent(x, xs, y, head, r), clamped, int(out.argmax()) + 1 if clamped else 0
-    out = ~((0.0 < x) & (x < math.inf))
+    out = ~fam.defined(x)
     masked = out.any()
     if masked:
         xs = np.where(out, 1.0, x).tolist()  # math.log raises at 0

@@ -14,16 +14,15 @@ the exact sequential pass at its final point, and, under
 ``require_stability``, its final's stability report.  The sequential values
 rank the starts and the winner's record supplies the result, so the reported
 log-likelihood equals :func:`loglik` at the estimate bit for bit and no
-final is audited twice.  Clamping warns at most once, and only when the pass
-at the estimate clamps.  The search and the re-ranking share one prepared
-form of the series; the forecast runs the same sequential recursion over
-its own, keeping only the last latent.
+final is audited twice.  The passes warn of nothing; the fit warns once,
+from the winner's record, if the pass at the estimate clamped.  The search
+and the re-ranking share one prepared form; the forecast runs the same
+sequential recursion over its own, keeping only the last latent.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .conditions import ConditionReport, check_model
-from .families import _FAMILIES, ClampWarning, PredictiveDistribution, predictive
+from .families import _FAMILIES, PredictiveDistribution, _warn_clamped, predictive
 from .likelihood import (
     GradientUndefinedError,
     LikelihoodValue,
@@ -369,9 +368,7 @@ def fit_mle(
         )
         final = expand(xb)
         theta = unpack_params(spec, final)
-        with warnings.catch_warnings():  # only the estimate's pass may warn, below
-            warnings.simplefilter("ignore", ClampWarning)
-            value = _loglik_prepared(spec, theta, prep, False, False)
+        value = _loglik_prepared(spec, theta, prep, False, False)
         finite = math.isfinite(value.normalized)
         report = check_model(spec, theta) if opts.require_stability and finite else None
         trace = StartTrace(
@@ -397,8 +394,7 @@ def fit_mle(
     best, value, report = max(candidates, key=lambda r: (r[0].value, -r[0].start_index))
     theta_hat = unpack_params(spec, best.final)
     validate_params(spec, theta_hat)
-    if value.clamped:  # the same pass again, this time warning about the estimate
-        value = _loglik_prepared(spec, theta_hat, prep, False, False)
+    _warn_clamped(value)
     return FitResult(
         theta_hat=theta_hat,
         loglik=value,

@@ -8,34 +8,34 @@ supplies the rest.  :func:`loglik` runs the model's one sequential recursion
 (the arithmetic of :func:`~odmlab.model.iterate_latent`), the families' term
 pass at each term (the scalar formula's bits on every term that is not NaN)
 and sums the terms in order; that matches a brute-force recomputation to
-1e-12 absolute on explosive log-linear totals (up to 1e96).  A private
-vectorized kernel solves the system with LAPACK ``dtbtrs``, takes the total
-and d ln g / dx from the record, and the gradient from one transposed solve
-for the adjoint weights; the optimizer and :func:`grad_loglik` use it, and it
-agrees with :func:`loglik` to rounding.  It loads scipy on its first call, so
-importing odmlab, simulating and auditing never load it.  Both cost
-O(n * (p + q)).  One private prepared form of (series, initial window) feeds
-the sequential pass, the kernel and the forecast: a fit reduces once.  Each
-reader builds only the fields it reads, and takes every count from one
-table, the distinct counts and each term's index into them (one sort): the
-forecast reads the window and the reduced observations, the term pass
-gathers y and the count-only head, and the kernel adds its design matrix,
-the multiplicities and the exact ln y! sum, a ``DomainError`` where that sum
-overflows a double (the sequential pass's sum then reads -inf).
+1e-12 absolute on explosive log-linear totals (up to 1e96).  The pass counts
+its clamps, and only :func:`loglik` warns of them.  A private vectorized
+kernel solves the system with LAPACK ``dtbtrs``, takes the total, d ln g / dx
+and where they are defined from the record, and the gradient from one
+transposed solve for the adjoint weights; the optimizer and
+:func:`grad_loglik` use it, and it agrees with :func:`loglik` to rounding.
+It loads scipy on its first call.  Both cost O(n * (p + q)).  One private
+prepared form of (series, initial window) feeds the sequential pass, the
+kernel and the forecast: a fit reduces once.  Each reader builds only the
+fields it reads, and takes every count from one table, the distinct counts
+and each term's index into them (one sort): the forecast reads the window
+and the reduced observations, the term pass gathers y and the count-only
+head, and the kernel adds its design matrix, the multiplicities and the
+exact ln y! sum, a ``DomainError`` where that sum overflows a double (the
+sequential pass's sum then reads -inf).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .families import (_FAMILIES, CLAMP_HI, CLAMP_LO, ClampWarning, _Family, _load_scipy,
-                       _log_terms, covariate_log_density, lnfact)
+from .families import (_FAMILIES, _Family, _load_scipy, _log_terms, _warn_clamped,
+                       covariate_log_density, lnfact)
 from .model import (
     DomainError,
     LatentWindow,
@@ -66,8 +66,9 @@ class LikelihoodValue:
     dropped in streaming mode.  ``bad_term`` names the first k whose term is
     -inf or non-finite, in which case ``total`` is -inf and ``per_term``
     stops at term k; ``latent_path`` is always whole.  ``clamped`` counts
-    the log-linear terms whose latent was clamped to [CLAMP_LO, CLAMP_HI]
-    before exponentiation; a pass that clamps warns once.
+    the log-linear terms whose latent was clamped to [-745, 700] before
+    exponentiation, and ``first_clamped`` is the first such k (0 if none);
+    :func:`loglik` and ``fit_mle`` warn once about a pass that clamps.
     """
 
     normalized: float
@@ -77,6 +78,7 @@ class LikelihoodValue:
     latent_path: Optional[tuple[float, ...]] = None
     bad_term: Optional[int] = None
     clamped: int = 0
+    first_clamped: int = 0
 
 
 @dataclass(frozen=True)
@@ -188,8 +190,7 @@ def _loglik_prepared(
 ) -> LikelihoodValue:
     n = prep.n
     xs = prep.latent_path(theta, n)
-    values, clamped, first_clamped = _log_terms(spec.family, theta.r, xs, prep.distinct,
-                                                prep.index)
+    values, clamped, first = _log_terms(spec.family, theta.r, xs, prep.distinct, prep.index)
     if include_covariate_density:
         values += covariate_log_density(spec, prep.covariates[:-1], prep.covariates[1:])
     finite = np.isfinite(values)
@@ -198,13 +199,6 @@ def _loglik_prepared(
     # that overflows reads -inf, like the loop's
     with np.errstate(over="ignore"):
         total = -math.inf if bad else float(np.cumsum(values)[-1])
-    if clamped:
-        warnings.warn(
-            f"{clamped} of {n} latent values clamped to [{CLAMP_LO:.0f}, {CLAMP_HI:.0f}] "
-            f"before exponentiation, the first at term {first_clamped}",
-            ClampWarning,
-            stacklevel=3,
-        )
     return LikelihoodValue(
         normalized=total / n,
         total=total,
@@ -213,6 +207,7 @@ def _loglik_prepared(
         latent_path=(prep.xw0[-1], *xs) if keep_path else None,
         bad_term=bad,
         clamped=clamped,
+        first_clamped=first,
     )
 
 
@@ -234,26 +229,28 @@ def loglik(
     if include_covariate_density and spec.parx is None:
         raise ValueError("covariate density applies to PARX only")
     prep = _prepare(spec, z_init, series)
-    return _loglik_prepared(spec, theta, prep, keep_path, include_covariate_density)
+    value = _loglik_prepared(spec, theta, prep, keep_path, include_covariate_density)
+    _warn_clamped(value)
+    return value
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing sum reads as -inf, like the loop
+@np.errstate(over="ignore", invalid="ignore")  # a sum or derivative overflows to inf, like the loop
 def _kernel(prep: _Prepared, vec: np.ndarray, grad: bool = False):
     """Vectorized (total, gradient) at the packed point ``vec``.
 
     The total is -inf where it is not finite.  The gradient is that of the
     normalized log-likelihood, or None without ``grad``.  ``vec`` must
     satisfy the family constraints (the caller validates or clips into the
-    box); clamping is silent here.  Where the gradient is undefined (a
-    clamped log-linear latent, or a latent that is not positive and finite
-    for NBIN and PARX) ``grad`` raises ``GradientUndefinedError``.
+    box); clamping is silent here.  Outside the family's ``defined`` domain
+    (a clamped log-linear latent, or one not positive and finite for NBIN and
+    PARX) ``grad`` raises ``GradientUndefinedError``.
     """
     dtbtrs = _load_scipy()[0]
     n, p, fam = prep.n, len(prep.xw0), prep.fam
     ab = np.empty((n, p + 1)).T  # Fortran-ordered band: row i holds -a_i
     ab[1:] = -vec[1 : 1 + p, None]
     x = dtbtrs(ab, prep.matrix @ vec, uplo="L", diag="U")[0]
-    total, derivative = fam.kernel(prep, x, vec)
+    total, dens, shape_grad = fam.kernel(prep, x, vec)
     # The family constraints keep a latent >= 0 at or above omega > 0, so a
     # latent outside the density's domain is non-finite and so is the total.
     total = float(total) - prep.lnf_sum
@@ -261,14 +258,10 @@ def _kernel(prep: _Prepared, vec: np.ndarray, grad: bool = False):
         total = -math.inf
     if not grad:
         return total, None
-    if fam.positive:
-        ok, why = (x > 0.0) & (x < math.inf), "makes the gradient undefined"
-    else:  # inside the clamp's bounds
-        ok, why = (x >= CLAMP_LO) & (x <= CLAMP_HI), "is clamped; gradient undefined there"
-    if not ok.all():  # NaN fails both
+    if not (ok := fam.defined(x)).all():
         k = int(np.argmin(ok))
-        raise GradientUndefinedError(f"latent {float(x[k])!r} at term {k + 1} {why}")
-    dens, shape_grad = derivative()
+        raise GradientUndefinedError(f"latent {float(x[k])!r} at term {k + 1} makes the "
+                                     "gradient undefined")
     lam = dtbtrs(ab, dens, uplo="L", trans="T", diag="U")[0]
     g = lam @ prep.matrix
     for i in range(1, min(p, n - 1) + 1):  # the a-columns' part on the path

@@ -173,6 +173,7 @@ ERROR_FILES = {
     "mc_feature_string.json": {**MC_CONFIG, "family": "parx", "feature": "abs", "theta_star": {
         "omega": 0.5, "a": [0.3], "b": [0.2], "gamma": [0.3]}},
     "mc_family_list.json": {**MC_CONFIG, "family": ["nbin"]},
+    "mc_loglin_sigma.json": {**MC_CONFIG, "sigma": -5},
 }
 FORECAST = ("forecast", "--family", "loglin", "--data", "loglin.csv", "--theta-file")
 # argv, and a piece of the one error line
@@ -219,6 +220,12 @@ ERROR_TABLE = {
     "check_negative_depth": (("check", "--family", "loglin", "--omega", "0", "--a", "0.6", "-0.3",
                               "--b", "0.2", "0.3", "--certificate-depth", "-3"),
                              "certificate depth must be >= 0, got -3"),
+    "check_nbin_depth": (("check", *NBIN_ARGS, "--certificate-depth", "-3"),
+                         "certificate depth applies to the log-linear family only, not NBIN"),
+    "check_parx_depth": (("check", *PARX_ARGS, "--certificate-depth", "-3"),
+                         "certificate depth applies to the log-linear family only, not PARX"),
+    "check_loglin_sigma": (("check", *LOGLIN_ARGS, "--sigma", "-5"),
+                           "family 'loglin' takes no covariate settings, got sigma"),
     "loglik_parx_nan": (("loglik", *PARX_ARGS, "--data", "parx.csv"),
                         "parx.csv: line 3: covariates must be finite"),
     "fit_parx_nan": (("fit", "--family", "parx", "--data", "parx.csv", "--guard-override"),
@@ -264,6 +271,8 @@ ERROR_TABLE = {
                           "feature_kinds must be a sequence of kinds, got the string 'abs'"),
     "mc_family_list": (("mc-consistency", "--config", "mc_family_list.json"),
                        "config family must be one of ('loglin', 'nbin', 'parx')"),
+    "mc_loglin_sigma": (("mc-consistency", "--config", "mc_loglin_sigma.json"),
+                        "family 'loglin' takes no covariate settings, got sigma"),
 }
 
 

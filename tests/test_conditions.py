@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from odmlab.conditions import (
     CertificateBudgetError,
     check_identifiable,
     check_loglin,
+    check_model,
     check_nbin,
     check_parx,
     companion_spectral_radius,
@@ -19,6 +22,9 @@ from odmlab.conditions import (
     loglin_iterate,
     nbin_stationary_mean,
 )
+from odmlab.model import (FAMILIES, FEATURE_KINDS, NBIN, PARX, ModelOrder, ModelSpec,
+                          ParxConfig)
+from odmlab.simulate import LatentExplosionError, SimConfig, simulate_series
 import oracles
 from test_model import loglin_spec, nbin_spec, parx_spec
 
@@ -290,6 +296,17 @@ class TestIdentifiability:
     def test_constant_feedback_poly_passes(self):
         assert check_identifiable([0.5], [0.3]).verdict == "Pass"
 
+    def test_roots_beyond_a_double_leak_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # b2 / b1 overflows: no finite companion matrix
+            for b in ([0.5, 1e308], [5e-324, 1.0], [1.0, math.nan]):
+                with pytest.raises(ValueError, match="has no finite roots"):
+                    check_identifiable([0.1], b)
+            # a finite root of about -1e300, whose fourth power overflows
+            report = check_identifiable([0.1] * 4, [1e-200, 1e100])
+        assert report.verdict in ("Pass", "Fail")
+
     def test_constant_feedback_poly_skips_the_root_finder(self):
         rng = np.random.default_rng(290)
         b1s = [-1.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300]
@@ -351,3 +368,54 @@ class TestNbinStationaryMean:
         mu_x, mu_y = nbin_stationary_mean(spec, th)
         assert abs(est.mean_x - mu_x) < 3.0 * est.se_x
         assert abs(est.mean_y - mu_y) < 3.0 * est.se_y
+
+
+# a signed zero, the smallest subnormal, the largest magnitudes, the non-finite
+# values and the bools, which a coefficient may be handed in place of a real
+EDGE_COEFFICIENTS = (0.0, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan,
+                     True, False)
+coefficients = st.sampled_from(EDGE_COEFFICIENTS) | st.floats(-2.0, 2.0)
+
+
+@st.composite
+def edge_models(draw):
+    """A spec of any family, p and q up to 4, and its coefficients from the edges."""
+    family = draw(st.sampled_from(FAMILIES))
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parx, r, gamma = None, None, None
+    if family == PARX:
+        r_dim = draw(st.integers(1, 3))
+        kinds = draw(st.lists(st.sampled_from(FEATURE_KINDS), min_size=1, max_size=r_dim))
+        aleph = tuple(tuple(0.5 if i == j else 0.0 for j in range(r_dim)) for i in range(r_dim))
+        parx = ParxConfig(r_dim=r_dim, feature_kinds=kinds, aleph=aleph, sigma=1.0)
+        gamma = draw(st.lists(coefficients, min_size=len(kinds), max_size=len(kinds)))
+    if family == NBIN:
+        r = draw(coefficients)
+    a = draw(st.lists(coefficients, min_size=p, max_size=p))
+    b = draw(st.lists(coefficients, min_size=q, max_size=q))
+    return ModelSpec(family, ModelOrder(p, q), parx), (draw(coefficients), a, b, r, gamma)
+
+
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(edge_models())
+def test_coefficient_edges_end_in_a_verdict_or_a_library_error(model):
+    """params, both audits and a short simulation each return (an audit, a
+    verdict) or raise ValueError or LatentExplosionError, and warn of nothing."""
+    spec, coefs = model
+
+    def outcome(call):  # the call's value, or None where it raised an error of the library's
+        try:
+            return call()
+        except (ValueError, LatentExplosionError):
+            return None
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        theta = outcome(lambda: spec.params(*coefs))
+        if theta is not None:
+            for audit in (lambda: check_model(spec, theta),
+                          lambda: check_identifiable(theta.a, theta.b)):
+                report = outcome(audit)
+                assert report is None or report.verdict in ("Pass", "Fail", "Inconclusive")
+            outcome(lambda: simulate_series(spec, theta, SimConfig(n=30, burn_in=10)))
+    assert [str(w.message) for w in caught] == []

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -20,7 +22,7 @@ from odmlab.fit import (
     forecast_one_step,
     make_box,
 )
-from odmlab.likelihood import GradientUndefinedError, grad_loglik, loglik
+from odmlab.likelihood import GradientUndefinedError, _loglik_prepared, grad_loglik, loglik
 from odmlab.model import (
     LatentWindow,
     ObservationSeries,
@@ -311,23 +313,57 @@ class TestFitMle:
         assert math.isfinite(res.loglik.total)
         assert res.condition_report.certificate_depth is None
 
-    def test_warns_only_about_the_estimate(self):
+    def test_warns_only_about_the_estimate(self, monkeypatch):
         spec = loglin_spec(2, 2)
         th = spec.params(0.1, [0.3, 0.2], [0.2, 0.1])
         sim = simulate_series(spec, th, SimConfig(n=300, burn_in=100, seed=4))
         corner = default_box(spec).upper  # the latent clamps there
         pinned = make_box(spec, corner, corner)
         losing = FitOptions(starts=2, extra_starts=(unpack_params(spec, corner),))
+        passes = []
+
+        def counting(*args):
+            passes.append(args)
+            return _loglik_prepared(*args)
+
+        monkeypatch.setattr("odmlab.fit._loglik_prepared", counting)
         for box, opts, expected in ((pinned, FitOptions(starts=2), 1), (None, losing, 0)):
+            passes.clear()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 res = fit_mle(spec, sim.series, box=box, opts=opts)
-            assert sum(w.category is ClampWarning for w in caught) == expected
+            assert len(passes) == res.starts  # one sequential pass per start, clamped or not
+            clamps = [w for w in caught if w.category is ClampWarning]
+            assert len(clamps) == expected
+            assert all(w.filename == __file__ for w in clamps)  # the fit's caller
             assert (res.loglik.clamped > 0) == (expected == 1)
             z = default_initial_window(spec, sim.series)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ClampWarning)
                 assert loglik(spec, res.theta_hat, z, sim.series).total == res.loglik.total
+
+    def test_a_fit_leaves_the_warning_filters_alone(self):
+        # a fresh interpreter, with scipy loaded first: a warning shown once per
+        # location stays shown once across a fit (a change to the process's
+        # warning filters would show it again)
+        probe = (
+            "import warnings\n"
+            "import scipy.linalg, scipy.special\n"
+            "import odmlab\n"
+            "from odmlab.model import LOGLIN, ModelOrder, ModelSpec\n"
+            "def warn():\n"
+            "    warnings.warn('shown once', UserWarning)\n"
+            "spec = ModelSpec(family=LOGLIN, order=ModelOrder(1, 1))\n"
+            "th = spec.params(0.1, [0.5], [0.3])\n"
+            "sim = odmlab.simulate_series(spec, th, odmlab.SimConfig(n=200, seed=3))\n"
+            "warn()\n"
+            "warn()\n"
+            "odmlab.fit_mle(spec, sim.series, opts=odmlab.FitOptions(starts=2))\n"
+            "warn()\n"
+        )
+        err = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True).stderr
+        assert err.count("shown once") == 1, err
 
     def test_result_carries_condition_report(self):
         spec = loglin_spec()
