@@ -23,9 +23,12 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
+
+from . import rng as rngmod
 
 if TYPE_CHECKING:
     from .model import ModelSpec, ParameterVector
@@ -41,6 +44,9 @@ CLAMP_HI = 700.0
 # the forecast's pmf covers at most this many counts, and its mean at most this
 # many: scipy's quantile and the pmf both cost time or memory linear in the mean
 PMF_SUPPORT_MAX = 10**6
+# NBIN's gamma factors are drawn this many at a time: the stream does not depend
+# on it, and a small block keeps a long simulation's memory flat
+_GAMMA_CHUNK = 4096
 _POS_FLOOR = 1e-8  # the fit's hard floor for strictly positive coordinates
 # the log-linear simulator's top: the largest double whose exp, the Poisson mean, is <= 4e18
 _LOGLIN_HI = math.log(4.0e18)
@@ -158,7 +164,7 @@ class _Family:
     covariates: bool  # takes a ParxConfig: the latent is (intensity, xi), gamma >= 0
     bounds: tuple  # fit._bounds rows of omega, of each of a and b, of each extra coordinate
     safe_range: tuple  # the latents simulate_series draws at
-    sampler: Callable  # (theta, rng) -> the count draw at latent x
+    sampler: Callable  # (theta, seed) -> the count draw at latent x
     predictive: Callable  # (theta, x in the domain) -> PredictiveDistribution
     log_head: Callable  # (r, counts) -> each count's count-only part of ln g
     log_latent: Callable  # (x, xs, y, head, r) -> the terms at latents x (list xs) in the domain
@@ -228,18 +234,21 @@ def _parx_start(spec, ybar, y) -> list:
     return [max(ybar * (1.0 - sum(a) - sum(b)), 1e-3), *a, *b, *[0.1] * spec.parx.d]
 
 
-def _loglin_sampler(theta, rng):
-    poisson, exp = rng.poisson, math.exp
+def _loglin_sampler(theta, seed):
+    poisson, exp = rngmod.substream(seed, rngmod.OBSERVATION).poisson, math.exp
     return lambda x: int(poisson(exp(x)))
 
 
-def _nbin_sampler(theta, rng):  # the gamma-Poisson mixture: any real shape, no gamma at 0
-    poisson, gamma, r = rng.poisson, rng.gamma, theta.r
-    return lambda x: int(poisson(gamma(r, x) if x > 0.0 else 0.0))
+def _nbin_sampler(theta, seed):  # the gamma-Poisson mixture: any real shape, one factor a step
+    poisson = rngmod.substream(seed, rngmod.OBSERVATION).poisson
+    gammas, r = rngmod.substream(seed, rngmod.GAMMA).standard_gamma, theta.r
+    # x * standard_gamma(r) is gamma(r, x) bit for bit, and at x = 0 it is 0
+    factor = chain.from_iterable(iter(lambda: gammas(r, _GAMMA_CHUNK).tolist(), None)).__next__
+    return lambda x: int(poisson(x * factor()))
 
 
-def _poisson_sampler(theta, rng):
-    poisson = rng.poisson
+def _poisson_sampler(theta, seed):
+    poisson = rngmod.substream(seed, rngmod.OBSERVATION).poisson
     return lambda x: int(poisson(x))
 
 
@@ -352,14 +361,17 @@ def covariate_log_density(spec: ModelSpec, xi_prev, xi_next):
     return float(out) if out.ndim == 0 else out
 
 
-def bind_sampler(spec: ModelSpec, theta: ParameterVector, rng: np.random.Generator):
-    """The family's count draw at latent ``x``, bound once to (spec, theta, rng).
+def bind_sampler(spec: ModelSpec, theta: ParameterVector, seed: int):
+    """The family's count draw at latent ``x``, bound once to (spec, theta, seed).
 
     It checks nothing: ``x`` must lie in the family's safe range.  Each call
-    draws from ``rng`` in a fixed order: NBIN gamma, then poisson; the
-    Poisson families poisson only.  For PARX, ``x`` is the intensity.
+    draws one count from the observation substream of ``seed`` (for NBIN,
+    a Poisson count at mean x times the step's gamma factor).  NBIN's
+    factors are Gamma(r, 1) draws from the gamma substream, one per call
+    whatever ``x``, taken in blocks whose size does not move the stream.
+    For PARX, ``x`` is the intensity.
     """
-    return _FAMILIES[spec.family].sampler(theta, rng)
+    return _FAMILIES[spec.family].sampler(theta, seed)
 
 
 def predictive(spec: ModelSpec, theta: ParameterVector, x) -> PredictiveDistribution:

@@ -144,11 +144,9 @@ class ModelSpec:
     def params(self, omega, a, b, r=None, gamma=None) -> "ParameterVector":
         """Build and validate a parameter vector; ValueError names a bool coefficient."""
         a, b, gammas = tuple(a), tuple(b), () if gamma is None else tuple(gamma)
-        values = (omega, *a, *b, r, *gammas)
-        if not _BOOL_TYPES.isdisjoint(map(type, values)):
-            names = ["omega", *_names("a", len(a)), *_names("b", len(b)), "r",
-                     *_names("gamma", len(gammas))]
-            name, value = next(nv for nv in zip(names, values) if type(nv[1]) in _BOOL_TYPES)
+        if not _BOOL_TYPES.isdisjoint(map(type, (omega, *a, *b, r, *gammas))):
+            name, value = next(nv for nv in _coordinates(omega, a, b, r, gammas)
+                               if type(nv[1]) in _BOOL_TYPES)
             raise ValueError(f"{name} must be a number, got {value!r}")
         theta = ParameterVector(
             omega=float(omega),
@@ -176,13 +174,28 @@ class ParameterVector:
     gamma: Optional[tuple[float, ...]] = None
 
 
+def _coordinates(omega, a, b, r, gammas):
+    """(name, value) of each coordinate, r included even where it is None."""
+    names = ("omega", *_names("a", len(a)), *_names("b", len(b)), "r",
+             *_names("gamma", len(gammas)))
+    return zip(names, (omega, *a, *b, r, *gammas))
+
+
 def validate_params(spec: ModelSpec, theta: ParameterVector) -> None:
-    """Raise ``DomainError`` unless ``theta`` satisfies the family constraints."""
+    """Raise ``DomainError`` unless ``theta`` satisfies the family constraints.
+
+    Every coordinate must be finite; the first NaN or infinite one is named.
+    """
     if len(theta.a) != spec.p or len(theta.b) != spec.q:
         raise DomainError(
             f"coefficient lengths ({len(theta.a)}, {len(theta.b)}) do not match order "
             f"({spec.p}, {spec.q})"
         )
+    gammas = theta.gamma or ()
+    if not all(map(math.isfinite, (theta.omega, *theta.a, *theta.b, *gammas, theta.r or 0.0))):
+        name, value = next(nv for nv in _coordinates(theta.omega, theta.a, theta.b, theta.r, gammas)
+                           if nv[1] is not None and not math.isfinite(nv[1]))
+        raise DomainError(f"{name} must be finite, got {value}")
     fam = _FAMILIES[spec.family]
     if fam.positive:
         if not theta.omega > 0.0:

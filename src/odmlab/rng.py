@@ -19,9 +19,10 @@ import numpy as np
 
 # Stream roles.  Fixed small integers: part of the reproducibility contract,
 # do not renumber.
-OBSERVATION = 0
-COVARIATE = 1
-JITTER = 2
+OBSERVATION = 0  # the simulator's per-step count draws
+COVARIATE = 1  # the PARX covariate noise, one block per run
+JITTER = 2  # the fit's start jitter
+GAMMA = 3  # NBIN's gamma mixing factors, one per step, drawn in blocks
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

@@ -6,10 +6,15 @@ across count-parameter changes and replicates can be parallelized with
 derived seeds.
 
 Draw order is part of the reproducibility contract.  On the observation
-substream each step draws, in order, NBIN's gamma and then the poisson count
-(the Poisson families draw the count only).  On the covariate substream the
-noise of the whole run is one ``standard_normal((steps, r))`` block, which
-numpy fills in the order of ``steps`` sequential ``standard_normal(r)`` calls.
+substream each step draws one count, a scalar ``poisson``.  NBIN's count is
+Poisson at mean x times a Gamma(r, 1) factor; step t takes the t-th
+``standard_gamma(r)`` draw of the gamma substream, whatever x, and the
+factors are drawn ahead in blocks, which numpy fills in the order of
+sequential ``standard_gamma(r)`` calls, so the block size does not move the
+stream (``x * standard_gamma(r)`` is numpy's ``gamma(r, x)`` bit for bit).
+On the covariate substream the noise of the whole run is one
+``standard_normal((steps, r))`` block, which numpy fills in the order of
+``steps`` sequential ``standard_normal(r)`` calls.
 """
 
 from __future__ import annotations
@@ -118,20 +123,21 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
     """Generate ``burn_in + n + 1`` steps and return the last ``n + 1``.
 
     Fully determined by ``cfg.seed``: step t draws its count from the
-    observation substream (NBIN: gamma, then poisson), and the PARX covariate
-    noise of all steps is drawn up front as one block from the covariate
-    substream.  Raises ``LatentExplosionError`` at the first step whose
-    latent leaves the family's safe range ([-1e3, 42.83282603501271]
-    log-linear, the top being the largest x with e^x <= 4e18; [0, 1e12]
-    otherwise; never NaN), which for sustained runs means the parameters
-    fail their stability condition.
+    observation substream (NBIN: at a mean scaled by step t's factor, the
+    t-th draw of the gamma substream), and the PARX covariate noise of all
+    steps is drawn up front as one block from the covariate substream.
+    Raises ``LatentExplosionError`` at the first step whose latent leaves
+    the family's safe range ([-1e3, 42.83282603501271] log-linear, the top
+    being the largest x with e^x <= 4e18; [0, 1e12] otherwise; never NaN),
+    which for sustained runs means the parameters fail their stability
+    condition.
     """
     validate_params(spec, theta)
     z0 = cfg.z_init if cfg.z_init is not None else default_simulation_window(spec, theta)
     validate_window(spec, z0)
     burn_in, n = cfg.burn_in, cfg.n
     steps = burn_in + n + 1
-    draw = bind_sampler(spec, theta, rngmod.substream(cfg.seed, rngmod.OBSERVATION))
+    draw = bind_sampler(spec, theta, cfg.seed)
     fam = _FAMILIES[spec.family]
     lo, hi = fam.safe_range
     ys, xs = np.empty(n + 1), np.empty(n + 1)

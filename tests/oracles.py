@@ -76,6 +76,32 @@ def unrolled_latent_path(spec, theta, z_init, series, n):
     return out
 
 
+def nbin_simulation(spec, theta, z_init, n, burn_in, seed):
+    """(counts, latents) of steps burn_in..burn_in + n of an NBIN run, one scalar draw at a time.
+
+    Step t draws one ``standard_gamma(r)`` factor from the gamma substream and
+    then the count from the observation substream, Poisson at mean x_t times
+    the factor; x_{t+1} follows from the raw indexed recursion.
+    """
+    from odmlab import rng as rngmod
+
+    factors = rngmod.substream(seed, rngmod.GAMMA)
+    draws = rngmod.substream(seed, rngmod.OBSERVATION)
+    p, q = spec.p, spec.q
+    xs = {-p + 1 + offset: x for offset, x in enumerate(z_init.x)}
+    us = {-q + 1 + offset: u for offset, u in enumerate(z_init.u)}
+    for t in range(burn_in + n + 1):
+        us[t] = float(int(draws.poisson(xs[t] * factors.standard_gamma(theta.r))))
+        acc = theta.omega
+        for i in range(1, p + 1):
+            acc += theta.a[i - 1] * xs[t + 1 - i]
+        for j in range(1, q + 1):
+            acc += theta.b[j - 1] * us[t + 1 - j]
+        xs[t + 1] = acc
+    kept = range(burn_in, burn_in + n + 1)
+    return [int(us[t]) for t in kept], [xs[t] for t in kept]
+
+
 def density_log_pmf(spec, theta, x, y):
     """Count log-density written straight from the family definitions.
 

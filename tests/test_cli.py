@@ -226,6 +226,10 @@ ERROR_TABLE = {
                          "certificate depth applies to the log-linear family only, not PARX"),
     "check_loglin_sigma": (("check", *LOGLIN_ARGS, "--sigma", "-5"),
                            "family 'loglin' takes no covariate settings, got sigma"),
+    "check_loglin_a_nan": (("check", "--family", "loglin", "--omega", "0", "--a", "nan",
+                            "--b", "0.1"), "a1 must be finite, got nan"),
+    "check_nbin_omega_inf": (("check", "--family", "nbin", "--omega", "inf", "--a", "0.1",
+                              "--b", "0.1", "--r", "2"), "omega must be finite, got inf"),
     "loglik_parx_nan": (("loglik", *PARX_ARGS, "--data", "parx.csv"),
                         "parx.csv: line 3: covariates must be finite"),
     "fit_parx_nan": (("fit", "--family", "parx", "--data", "parx.csv", "--guard-override"),
@@ -541,7 +545,7 @@ PINNED_FIT_JSON = {
 # forecast stdout at the FORECAST_CASES theta on a series simulated by SIM_ARGS
 PINNED_FORECAST_STDOUT = {
     "loglin": "4dda8ceaa0b4775f8ef87ac25fdbe68a07336c453d30941fb49786b6ab2b55be",
-    "nbin": "f5a0a53c26964e8b7fb0fbccc7555430060f7da2c6d322f4d2d34b683e740897",
+    "nbin": "53fd388ca98369d9200e84c7b5fac9205cc31cc86feefd6d634adc4814a6dbe6",
     "parx": "40389dda2b78c4d936f37705b48511586400a09ba9ce72b184258daab8ef4465",
 }
 PINNED_MC = {

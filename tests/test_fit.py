@@ -446,7 +446,7 @@ PINNED_FIT_DIGESTS = {
     "loglin11_pinned": "4096cc30988a1bf0b44f21410d3029c753f69f7d3002edd143f60c1a95549eff",
     "loglin22": "5684d72cb13a46019fd62a1bad7a994f3a50daec382e9a833565927b9f86ea2a",
     "loglin22_require_stability": "cbeed4322ce7e7f060310c215877022ea2a0bca855fc3af9de9eaa97f2779d8c",
-    "nbin11": "de97f9b1f698b8cb90a14586cf5b38dc5dc93756cddc0a2a2b3a9446147ef19e",
+    "nbin11": "1227dc540c95f22a82acedc8d45888c53d853fdd1b883e38f367a6c6478cf459",
     "parx11": "9fbbb5c2a8b7eaf6b27d4ec52370944ac2330496772e900bac3b4689c671cf91",
 }
 

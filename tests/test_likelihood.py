@@ -169,7 +169,7 @@ PINNED_TERM_DIGESTS = {
     "clamped": "f5edd4d4a6cfa91f4b2b4357c7a11849b47babb353a5f75b36fe15c52d7be801",
     "loglin11": "fa280698c1a41966a8b7453423ef61b0e7ca7f891f6151b4ed82c21384933302",
     "loglin22": "5a7877c3bf6ae2afd7dabdeb9c21b1ef450690c5340bbf31d12f893502879b06",
-    "nbin11": "6bfabd44e473735be8d0e6b10cd9653c41f1eb10aecda3ef0136af3c05def524",
+    "nbin11": "c20bc6802ffa95a3497467c6da7d8b4f993e91167ae38ee0f5368d8a7cb43441",
     "parx11": "12bf0ef8f31484804c647ad8b526a78a5bcbfee4a583556ad93bc4e5926ab55c",
 }
 

@@ -441,6 +441,20 @@ class TestParamsAndWindows:
         with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
             spec.params(*args)
 
+    @pytest.mark.parametrize("field, spec, args", [
+        ("omega", loglin_spec(), (math.inf, [0.1], [0.3])),
+        ("a1", loglin_spec(), (0.1, [math.nan], [0.3])),
+        ("b2", loglin_spec(1, 2), (0.1, [0.2], [0.3, -math.inf])),
+        ("omega", nbin_spec(), (math.inf, [0.1], [0.3], 2.0)),
+        ("a1", nbin_spec(), (1.0, [math.nan], [0.3], 2.0)),
+        ("r", nbin_spec(), (1.0, [0.1], [0.3], math.inf)),
+        ("b1", parx_spec(), (1.0, [0.1], [math.nan], None, [0.2, 0.1])),
+        ("gamma2", parx_spec(), (1.0, [0.1], [0.3], None, [0.2, math.inf])),
+    ])
+    def test_a_coefficient_must_be_finite(self, field, spec, args):
+        with pytest.raises(DomainError, match=f"^{field} must be finite, got "):
+            spec.params(*args)
+
     @pytest.mark.parametrize("r_dim", [1, 2])
     def test_parx_config_rejects_non_finite_constants(self, r_dim):
         eye = tuple(tuple(0.5 * (i == j) for j in range(r_dim)) for i in range(r_dim))

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from odmlab import families
 from odmlab import rng as rngmod
 from odmlab.model import (
     FEATURE_KINDS,
@@ -308,7 +309,8 @@ def _explosive_cases():
 
 
 # (exception class, failing step, latent) of each explosive point, read off
-# the simulator while the sampler still made its own range checks.
+# the simulator while the sampler still made its own range checks; the NBIN
+# rows were read again when the gamma factors moved to their own substream.
 EXPLOSIVE_FAILURES = {
     "loglin11_grow": ("LatentExplosionError", 4, "49.8716"),
     "loglin11_jump_beyond_1e3": ("LatentExplosionError", 2, "1036.73"),
@@ -321,8 +323,8 @@ EXPLOSIVE_FAILURES = {
     "loglin11_window_nan": ("LatentExplosionError", 0, "nan"),
     "loglin22_grow": ("LatentExplosionError", 10, "48.3732"),
     "loglin22_sink": ("LatentExplosionError", 31, "-1109.24"),
-    "nbin11": ("LatentExplosionError", 37, "2.04257e+12"),
-    "nbin22": ("LatentExplosionError", 74, "1.26597e+12"),
+    "nbin11": ("LatentExplosionError", 42, "1.62667e+12"),
+    "nbin22": ("LatentExplosionError", 81, "1.17708e+12"),
     "parx11": ("LatentExplosionError", 99, "1.04472e+12"),
     "parx22": ("LatentExplosionError", 138, "1.00173e+12"),
 }
@@ -385,7 +387,8 @@ def test_default_simulation_windows_are_admissible():
 # sha256 of repr((y, covariates, latents)) for fixed seeds, in tuple form:
 # integer counts, covariate rows and latents as tuples of floats, None for no
 # covariates.  The digests were computed when the simulator returned tuples,
-# before the simulation loop was rewritten for speed; any change to the order
+# before the simulation loop was rewritten for speed, and the NBIN ones again
+# when the gamma factors moved to their own substream; any change to the order
 # of draws, the substreams or the arithmetic of the recursion moves them, and
 # with them every frozen seed of the acceptance criteria.
 
@@ -442,10 +445,10 @@ PINNED_DIGESTS = {
     "loglin11": "e25c5c247627c75c5bbd057adbc0a97fea5dab6805afec98841e02fbc7543efd",
     "loglin22": "e92e205d2e41ae9e1da5b65cfec7af4a961834557d4ccbfcc29a82e7d1c6ef91",
     "loglin31": "873bd56a47f12798b4d0b534df263404449a8717f1339a0cb580c2640725d40f",
-    "nbin11": "c37bd98c0c2905d39d9cdeec361f536306ff4e1c5c25fb9185123d8c981352e7",
-    "nbin22": "d63fe0e271af5454fdbf45fb65caba9659175d60879dbd51a998bdc33d00b2cc",
-    "nbin22_z_init": "d3318214361effe040ecef551947d38ce6f0b9a6db124966e13d7012fec7c88e",
-    "nbin31": "852345c9b1e57911f7575d71ba4908add035e745e466d7a428f322d50d756141",
+    "nbin11": "b720389846887204177bd62bd097024eec413a9ba3d1b65dd8526e4d4451f1d5",
+    "nbin22": "d817cb0808f2aff1d18509b10f6ef218e9fe14250e9aa6e94b52a3df869d574c",
+    "nbin22_z_init": "97f282a5191004736950d7d9f9af910e3856739aa7a49dd60cb14ec95de278f0",
+    "nbin31": "bfb52cdaa03af8e2f750a92b873d8d4c84bc2f3206d513946449cd1bbd4cf668",
     "parx11": "14ca8722eb1e332755193f4d86f99dacd14783deb8c140bed3b19883bd0559fb",
     "parx22": "4f7b7511662075662ad748e1c834c0756a542e334d32f3793a7a96c242762367",
     "parx22_z_init": "f55946da37216d548b0c32a9449033fc36e491f8e1ba01c889773544a97f7ecf",
@@ -461,7 +464,7 @@ LOGLIN_ERROR = (
     "run the stability check on these parameters"
 )
 NBIN_ERROR = (
-    "latent 2.42076e+12 left the safe range (limit 1e+12) at step 39; "
+    "latent 1.11955e+12 left the safe range (limit 1e+12) at step 43; "
     "run the stability check on these parameters"
 )
 
@@ -495,3 +498,42 @@ def test_block_normal_draw_equals_sequential_draws():
         rng = rngmod.substream(99, rngmod.COVARIATE)
         rows = np.array([rng.standard_normal(r_dim) for _ in range(5000)])
         assert np.array_equal(block, rows)
+
+
+def test_block_gamma_draw_equals_sequential_draws():
+    # the NBIN sampler draws its gamma factors in blocks and scales them by the
+    # latent; that keeps numpy's gamma(r, x) stream only because x *
+    # standard_gamma(r) is gamma(r, x) bit for bit and numpy fills a block in
+    # sequential order
+    xs = np.random.default_rng(5).uniform(0.01, 50.0, 20_000).tolist()
+    for r in (0.5, 2.0, 7.3):
+        scaled, factors = (rngmod.substream(99, rngmod.GAMMA) for _ in range(2))
+        assert all(scaled.gamma(r, x) == x * factors.standard_gamma(r) for x in xs)
+        block = rngmod.substream(99, rngmod.GAMMA).standard_gamma(r, 20_000)
+        rng = rngmod.substream(99, rngmod.GAMMA)
+        chunks = [rng.standard_gamma(r, size) for size in (1, 7, 4096, 4096, 11_800)]
+        assert np.array_equal(block, np.concatenate(chunks))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_nbin_stream_matches_scalar_reference(p, q):
+    spec = nbin_spec(p, q)
+    theta = spec.params(0.8, [0.3, 0.15, 0.05][:p], [0.12, 0.06, 0.03][:q], r=1.5)
+    z = oracles.random_window(spec, np.random.default_rng(10 * p + q))
+    z = dataclasses.replace(z, x=(*z.x[:-1], 0.0))  # step 0 at x = 0 takes a factor too
+    n, burn_in = 2 * families._GAMMA_CHUNK + 50, 30  # three blocks of gamma factors
+    sim = simulate_series(spec, theta, SimConfig(n=n, burn_in=burn_in, seed=p * q, z_init=z))
+    ys, xs = oracles.nbin_simulation(spec, theta, z, n, burn_in, seed=p * q)
+    assert sim.series.y.tolist() == ys
+    assert sim.latents.tolist() == xs
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_nbin_stream_does_not_depend_on_the_block_size(monkeypatch, chunk):
+    spec = nbin_spec(2, 2)
+    theta = spec.params(0.5, [0.4, 0.1], [0.1, 0.05], r=2.5)
+    cfg = SimConfig(n=2 * families._GAMMA_CHUNK + 50, burn_in=20, seed=11)
+    default = simulate_series(spec, theta, cfg)
+    monkeypatch.setattr(families, "_GAMMA_CHUNK", chunk)
+    assert simulate_series(spec, theta, cfg) == default
