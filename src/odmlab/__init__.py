@@ -11,8 +11,6 @@ from .conditions import (
     check_identifiable,
     check_loglin,
     check_model,
-    check_nbin,
-    check_parx,
     in_unit_disk_stable,
     loglin_iterate,
     nbin_stationary_mean,

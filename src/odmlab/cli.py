@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from itertools import repeat
 from typing import Optional
@@ -72,9 +73,6 @@ def _add_family_flags(parser: argparse.ArgumentParser, with_theta: bool = True) 
         parser.add_argument("--b", type=float, nargs="+", default=None)
         parser.add_argument("--r", type=float, default=None)
         parser.add_argument("--gamma", type=float, nargs="+", default=None)
-    else:
-        parser.add_argument("--p", type=int, default=1)
-        parser.add_argument("--q", type=int, default=1)
     # None when not given, so that a family without covariates can refuse them
     parser.add_argument("--xi-dim", type=int, help="PARX covariate dimension (default 1)")
     parser.add_argument("--feature", nargs="+", choices=FEATURE_KINDS,
@@ -291,9 +289,9 @@ def cmd_forecast(args) -> int:
         raise CliError(
             f"family mismatch: theta file has {fitted.get('family')!r}, flags say {args.family!r}"
         )
-    order = _json_object(fitted.get("order", {}), "theta file 'order'")
+    order = _json_object(fitted.get("order"), "theta file 'order'")
     for key in ("p", "q"):  # int() parses a string; a number must be integral
-        value = order.get(key, getattr(args, key))
+        value = order.get(key)
         what = f"theta file order {key!r}"
         setattr(args, key, int(value) if isinstance(value, str) else _json_int(value, what))
     spec = _build_spec_orders(args)
@@ -451,6 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("fit", help="maximum likelihood fit from CSV")
     _add_family_flags(pf, with_theta=False)
+    pf.add_argument("--p", type=int, default=1)
+    pf.add_argument("--q", type=int, default=1)
     pf.add_argument("--data", required=True)
     pf.add_argument("--box-file", default=None)
     pf.add_argument("--pin", action="append", default=None, help="pin a coordinate, e.g. a1=0")
@@ -482,6 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--out-dir", default=".")
     pm.set_defaults(func=cmd_mc_consistency)
 
+    negative = re.compile(r"(?i)^-(inf|infinity|nan|(\d+\.?\d*|\.\d+)(e[+-]?\d+)?)$")
+    for each in (parser, *sub.choices.values()):  # argparse reads -1e-3 and -inf as flags
+        each._negative_number_matcher = negative
     return parser
 
 

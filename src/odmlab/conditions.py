@@ -240,16 +240,6 @@ def check_loglin(
     )
 
 
-def check_nbin(spec: ModelSpec, theta: ParameterVector) -> ConditionReport:
-    """Sharp NBIN moment balance: sum(a) + r * sum(b) < 1."""
-    return check_model(spec, theta)
-
-
-def check_parx(spec: ModelSpec, theta: ParameterVector) -> ConditionReport:
-    """PARX drift condition: sum(a) + sum(b) < 1."""
-    return check_model(spec, theta)
-
-
 def check_model(
     spec: ModelSpec, theta: ParameterVector, certificate_depth: Optional[int] = None
 ) -> ConditionReport:
@@ -295,6 +285,9 @@ def check_identifiable(a, b) -> ConditionReport:
         return ConditionReport(verdict="Pass", checks=checks)
     pcoef = np.array([1.0] + [-v for v in a])
     vals = np.abs(np.polyval(pcoef, roots)) / (1.0 + np.abs(roots)) ** p
+    far = ~np.isfinite(vals)  # z^p beyond a double: the same as |z / (1 + |z|)|^p |z^-p P(z)|
+    z = roots[far]
+    vals[far] = (np.abs(z) / (1.0 + np.abs(z))) ** p * np.abs(np.polyval(pcoef[::-1], 1.0 / z))
     margin = float(np.min(vals))
     ok = margin > TOL_ROOT
     checks = (ConditionCheck("min_scaled_latent_poly_at_roots", margin, TOL_ROOT, ok),)
@@ -307,7 +300,7 @@ def nbin_stationary_mean(spec: ModelSpec, theta: ParameterVector) -> tuple[float
     Solves the moment balance E[X] = omega + sum(a) E[X] + sum(b) E[Y] with
     E[Y] = r E[X]; raises when the balance condition fails.
     """
-    report = check_nbin(spec, theta)
+    report = check_model(spec, theta)
     if not report.passed:
         raise ValueError(
             f"no finite-mean stationary regime: sum(a) + r*sum(b) = {report.extras['lhs']:.6g} >= 1"

@@ -164,7 +164,7 @@ class _Family:
     covariates: bool  # takes a ParxConfig: the latent is (intensity, xi), gamma >= 0
     bounds: tuple  # fit._bounds rows of omega, of each of a and b, of each extra coordinate
     safe_range: tuple  # the latents simulate_series draws at
-    sampler: Callable  # (theta, seed) -> the count draw at latent x
+    sampler: Callable  # (theta, seed) -> the count draw at x, unchecked: x must lie in safe_range
     predictive: Callable  # (theta, x in the domain) -> PredictiveDistribution
     log_head: Callable  # (r, counts) -> each count's count-only part of ln g
     log_latent: Callable  # (x, xs, y, head, r) -> the terms at latents x (list xs) in the domain
@@ -359,19 +359,6 @@ def covariate_log_density(spec: ModelSpec, xi_prev, xi_next):
     s2 = cfg.sigma * cfg.sigma
     out = -0.5 * cfg.r_dim * math.log(2.0 * math.pi * s2) - np.square(resid).sum(-1) / (2.0 * s2)
     return float(out) if out.ndim == 0 else out
-
-
-def bind_sampler(spec: ModelSpec, theta: ParameterVector, seed: int):
-    """The family's count draw at latent ``x``, bound once to (spec, theta, seed).
-
-    It checks nothing: ``x`` must lie in the family's safe range.  Each call
-    draws one count from the observation substream of ``seed`` (for NBIN,
-    a Poisson count at mean x times the step's gamma factor).  NBIN's
-    factors are Gamma(r, 1) draws from the gamma substream, one per call
-    whatever ``x``, taken in blocks whose size does not move the stream.
-    For PARX, ``x`` is the intensity.
-    """
-    return _FAMILIES[spec.family].sampler(theta, seed)
 
 
 def predictive(spec: ModelSpec, theta: ParameterVector, x) -> PredictiveDistribution:

@@ -304,7 +304,6 @@ def fit_mle(
     spec: ModelSpec,
     series: ObservationSeries,
     box: Optional[ThetaBox] = None,
-    z_init: Optional[LatentWindow] = None,
     opts: Optional[FitOptions] = None,
 ) -> FitResult:
     """Maximize the conditional log-likelihood over the box.
@@ -319,8 +318,7 @@ def fit_mle(
     """
     opts = opts or FitOptions()
     box = box or default_box(spec)
-    if z_init is None:
-        z_init = default_initial_window(spec, series)
+    z_init = default_initial_window(spec, series)
     dim = pack_params(spec, unpack_params(spec, box.lower)).size  # validates length
     guard = 10 * dim
     if series.n < guard and not opts.guard_override:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .conditions import check_model
-from .families import _FAMILIES, bind_sampler
+from .families import _FAMILIES
 from .model import (
     LatentWindow,
     ModelSpec,
@@ -137,7 +137,6 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
     validate_window(spec, z0)
     burn_in, n = cfg.burn_in, cfg.n
     steps = burn_in + n + 1
-    draw = bind_sampler(spec, theta, cfg.seed)
     fam = _FAMILIES[spec.family]
     lo, hi = fam.safe_range
     ys, xs = np.empty(n + 1), np.empty(n + 1)
@@ -153,8 +152,8 @@ def simulate_series(spec: ModelSpec, theta: ParameterVector, cfg: SimConfig) -> 
         ks = zip(ks, *map(memoryview, px.features(path)))
     run = _compiled(len(theta.a), len(theta.b), len(gamma), _LOOP)
     # item assignment through a memoryview: the cheapest store of one number
-    stop = run(theta.omega, theta.a, theta.b, gamma, *_scalar_window(spec, z0), ks, draw,
-               fam.log1p, lo, hi, memoryview(ys), memoryview(xs))
+    stop = run(theta.omega, theta.a, theta.b, gamma, *_scalar_window(spec, z0), ks,
+               fam.sampler(theta, cfg.seed), fam.log1p, lo, hi, memoryview(ys), memoryview(xs))
     if stop is not None:
         k, x = stop
         raise LatentExplosionError(

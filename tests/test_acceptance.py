@@ -1,8 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS line with
 its headline numbers (run with ``pytest tests/test_acceptance.py -v -s``).
 
-Statistical criteria run on frozen seeds that were calibrated once before
-freezing (see scripts/calibrate_mc.py); all thresholds are pinned here.
+Statistical criteria run on frozen seeds; all thresholds are pinned here.
 """
 
 import json

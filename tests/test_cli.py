@@ -113,6 +113,21 @@ class TestCheck:
         assert proc.stderr.startswith("error: certificate depth 25")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("exponent_form, decimal_form", [
+        (("--a", "-1e-3"), ("--a", "-0.001")),
+        (("--a", "0.1", "--b", "0.1", "-1e-2"), ("--a", "0.1", "--b", "0.1", "-0.01")),
+        (("--a", "-2.5E-1"), ("--a", "-0.25")),
+    ], ids=["a", "second_b", "capital_e"])
+    def test_exponent_form_negative_numbers(self, capsys, exponent_form, decimal_form):
+        # argparse of its own reads -1e-3 as a flag, not as a number
+        base = ["check", "--family", "loglin", "--omega", "0", "--b", "0.1"]
+        outputs = []
+        for args in (exponent_form, decimal_form):
+            assert main([*base, *args]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].err == ""
+
     def test_json_roundtrip_is_stable(self):
         proc = run_cli("check", "--family", "loglin", "--omega", "0", "--a", "0.5", "--b", "0.3")
         payload = json.loads(proc.stdout)
@@ -148,6 +163,8 @@ ERROR_FILES = {
     "omega_null.json": {**LOGLIN_THETA, "theta_hat": {"omega": None, "a1": 0.5, "b1": 0.3}},
     "omega_bool.json": {**LOGLIN_THETA, "theta_hat": {"omega": True, "a1": 0.5, "b1": 0.3}},
     "order_fraction.json": {**LOGLIN_THETA, "order": {"p": 1.7, "q": 1}},
+    "order_missing.json": {"family": "loglin", "theta_hat": LOGLIN_THETA["theta_hat"]},
+    "order_q_missing.json": {**LOGLIN_THETA, "order": {"p": 1}},
     "omega_690.json": {**LOGLIN_THETA, "theta_hat": {"omega": 690, "a1": 0.0, "b1": 0.0}},
     "omega_20.json": {**LOGLIN_THETA, "theta_hat": {"omega": 20, "a1": 0.0, "b1": 0.0}},
     "nbin_omega_1e200.json": {"family": "nbin", "order": {"p": 1, "q": 1},
@@ -196,6 +213,10 @@ ERROR_TABLE = {
                             "theta file 'theta_hat' 'omega' must be a number, got true"),
     "forecast_order_fraction": ((*FORECAST, "order_fraction.json"),
                                 "theta file order 'p' must be an integer, got 1.7"),
+    "forecast_order_missing": ((*FORECAST, "order_missing.json"),
+                               "theta file 'order' must be a JSON object"),
+    "forecast_order_q_missing": ((*FORECAST, "order_q_missing.json"),
+                                 "theta file order 'q' must be an integer, got null"),
     "forecast_omega_690": ((*FORECAST, "omega_690.json"),
                            "predictive mean 4.60461e+299 is above the largest forecast support"),
     "forecast_omega_20": ((*FORECAST, "omega_20.json"),
@@ -228,6 +249,8 @@ ERROR_TABLE = {
                            "family 'loglin' takes no covariate settings, got sigma"),
     "check_loglin_a_nan": (("check", "--family", "loglin", "--omega", "0", "--a", "nan",
                             "--b", "0.1"), "a1 must be finite, got nan"),
+    "check_loglin_a_minus_inf": (("check", "--family", "loglin", "--omega", "0", "--a", "-inf",
+                                  "--b", "0.1"), "a1 must be finite, got -inf"),
     "check_nbin_omega_inf": (("check", "--family", "nbin", "--omega", "inf", "--a", "0.1",
                               "--b", "0.1", "--r", "2"), "omega must be finite, got inf"),
     "loglik_parx_nan": (("loglik", *PARX_ARGS, "--data", "parx.csv"),
@@ -422,6 +445,17 @@ class TestForecast:
         )
         assert proc.returncode == 2
         assert "mismatch" in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    def test_order_comes_from_the_theta_file_only(self, tmp_path, capsys, flag):
+        data = simulate_csv(tmp_path, n=50, seed=3)
+        theta_file = tmp_path / "theta.json"
+        theta_file.write_text(json.dumps(LOGLIN_THETA))
+        argv = ["forecast", "--family", "loglin", "--data", data, "--theta-file", str(theta_file)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, flag, "2"]) == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     def test_matches_library(self, tmp_path):
         data = simulate_csv(tmp_path, n=80, seed=5)

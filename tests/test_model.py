@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odmlab.families import predictive
-from odmlab.fit import FitOptions, fit_mle, forecast_one_step
+from odmlab.conditions import loglin_iterate
+from odmlab.families import covariate_log_density, predictive
+from odmlab.fit import FitOptions, ThetaBox, fit_mle, forecast_one_step, make_box
 from odmlab.likelihood import loglik
 from odmlab.model import (
     LOGLIN,
@@ -25,6 +27,7 @@ from odmlab.model import (
     _PATH_LOOP,
     _compiled,
     _count_mean,
+    check_series,
     constant_window,
     default_initial_window,
     embed_step,
@@ -36,8 +39,9 @@ from odmlab.model import (
     reduce,
     unpack_params,
     validate_params,
+    validate_window,
 )
-from odmlab.simulate import SimConfig, simulate_series
+from odmlab.simulate import SimConfig, simulate_series, stationary_moment_estimate
 
 import oracles
 
@@ -530,3 +534,82 @@ class TestParamsAndWindows:
         assert _count_mean(series) == sum(ints) / len(ints)
         spec = nbin_spec()
         assert default_initial_window(spec, series).x == (sum(ints) / len(ints),)
+
+
+def _parx_config(r_dim=1, kinds=("abs",), aleph=((0.5,),)):
+    return ParxConfig(r_dim=r_dim, feature_kinds=kinds, aleph=aleph, sigma=1.0)
+
+
+def _loglin_theta(a=(0.1,), b=(0.1,), **extras):
+    return ParameterVector(0.0, a, b, **extras)
+
+
+# each input check: a call that fails it, the error (or warning) type and a piece of its message
+INPUT_CHECKS = {
+    "order_p_0": (lambda: ModelOrder(0, 1), ValueError, "p >= 1 and q >= 1, got (0, 1)"),
+    "parx_r_dim_0": (lambda: _parx_config(r_dim=0), ValueError,
+                     "covariate dimension must be >= 1"),
+    "parx_no_feature": (lambda: _parx_config(kinds=()), ValueError,
+                        "at least one feature is required"),
+    "parx_unknown_kind": (lambda: _parx_config(kinds=("cube",)), ValueError,
+                          "unknown feature kind 'cube'"),
+    "parx_aleph_shape": (lambda: _parx_config(aleph=((0.5, 0.0),)), ValueError,
+                         "aleph must be 1x1, got (1, 2)"),
+    "spec_parx_missing": (lambda: ModelSpec(PARX, ModelOrder(1, 1)), ValueError,
+                          "PARX requires a ParxConfig"),
+    "spec_parx_refused": (lambda: ModelSpec(NBIN, ModelOrder(1, 1), _parx_config()), ValueError,
+                          "family 'nbin' takes no ParxConfig"),
+    "params_lengths": (lambda: validate_params(loglin_spec(), _loglin_theta(a=(0.1, 0.1))),
+                       DomainError, "coefficient lengths (2, 1) do not match order (1, 1)"),
+    "params_gamma_refused": (lambda: validate_params(loglin_spec(), _loglin_theta(gamma=(0.1,))),
+                             DomainError, "log-linear parameters carry no gamma"),
+    "params_gamma_length": (lambda: validate_params(parx_spec(), ParameterVector(
+        1.0, (0.1,), (0.1,), gamma=(0.1,))), DomainError, "PARX requires gamma of length 2"),
+    "params_gamma_negative": (lambda: validate_params(parx_spec(), ParameterVector(
+        1.0, (0.1,), (0.1,), gamma=(0.1, -0.1))), DomainError, "PARX requires gamma >= 0"),
+    "unpack_length": (lambda: unpack_params(loglin_spec(), [0.0, 0.1]), ValueError,
+                      "expected 3 parameters for loglin, got 2"),
+    "window_shape": (lambda: validate_window(loglin_spec(), LatentWindow(x=(0.0, 0.0), u=())),
+                     DomainError, "window shape (2, 0) does not match order (1, 0 stored"),
+    "window_parx_xi": (lambda: validate_window(parx_spec(), LatentWindow(x=((1.0, (0.0,)),),
+                                                                         u=())),
+                       DomainError, "PARX window entries must be (x, xi)"),
+    "window_negative": (lambda: validate_window(nbin_spec(), LatentWindow(x=(-1.0,), u=())),
+                        DomainError, "NBIN window entries must be >= 0"),
+    "series_strings": (lambda: ObservationSeries(y=["a", "b"]), DomainError,
+                       "counts must be numbers with a float64 form: dtype <U1"),
+    "series_ndim": (lambda: ObservationSeries(y=[[1, 2]]), ValueError,
+                    "counts must have 1 dimension(s), got shape (1, 2)"),
+    "series_empty": (lambda: ObservationSeries(y=[]), ValueError,
+                     "series must contain at least one observation"),
+    "series_columns": (lambda: check_series(loglin_spec(), ObservationSeries(
+        y=[1, 2], covariates=[[0.0], [0.0]])), DomainError,
+                       "family 'loglin' takes 0 covariate columns, got 1"),
+    "box_lengths": (lambda: ThetaBox(lower=(0.0,), upper=(1.0, 1.0)), ValueError,
+                    "bound lengths differ"),
+    "make_box_length": (lambda: make_box(loglin_spec(), [0.0, 0.0], [1.0, 1.0]), ValueError,
+                        "box must have 3 coordinates, got 2"),
+    "moments_too_few": (lambda: stationary_moment_estimate(
+        loglin_spec(), _loglin_theta(), n=3, seed=0, batches=2), ValueError,
+                        "need n >= 4 samples for 2 batches"),
+    "moments_unstable": (lambda: stationary_moment_estimate(
+        nbin_spec(), ParameterVector(1.0, (0.5,), (0.3,), r=2.0), n=64, seed=0, burn_in=0,
+        batches=2), RuntimeWarning, "stability check verdict Fail"),
+    "iterate_seed_length": (lambda: loglin_iterate(_loglin_theta(), [1.0, 1.0], [1]), ValueError,
+                            "seed must have length 1, got 2"),
+    "iterate_few_bits": (lambda: loglin_iterate(_loglin_theta(b=(0.1, 0.1)), [1.0, 1.0], [1]),
+                         ValueError, "need at least 2 switching bits, got 1"),
+    "covariate_density_no_parx": (lambda: covariate_log_density(loglin_spec(), [0.0], [0.0]),
+                                  DomainError, "covariate density is defined for PARX only"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_input_checks_raise_in_process(name):
+    call, kind, message = INPUT_CHECKS[name]
+    if issubclass(kind, Warning):
+        with pytest.warns(kind, match=re.escape(message)):
+            call()
+    else:
+        with pytest.raises(kind, match=re.escape(message)):
+            call()
